@@ -57,26 +57,30 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench seeds the perf trajectory: the root paper-figure benchmarks
-# and the internal/core kernels run once each (their seeds are fixed
-# in the *_test.go files), and cmd/benchjson turns the output into
-# BENCH_<host>.json with machine metadata so runs on the same box
-# diff cleanly. The checked-in BENCH_host.json is the first baseline;
+# bench seeds the perf trajectory: the root paper-figure benchmarks,
+# the internal/core kernels and the internal/mpi collectives (Split at
+# 4,096 ranks, allreduce, barrier) run once each with
+# -benchmem (their seeds are fixed in the *_test.go files), and
+# cmd/benchjson turns the output into BENCH_<host>.json with machine
+# metadata and allocation figures so runs on the same box diff
+# cleanly. The checked-in BENCH_host.json is the first baseline;
 # override BENCH_HOST=host to refresh it.
 BENCH_HOST ?= $(shell hostname)
+BENCH_PKGS = . ./internal/core ./internal/mpi
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core \
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson -host $(BENCH_HOST) -out BENCH_$(BENCH_HOST).json
 
-# benchdiff re-runs the benchmarks and compares ns/op against the
-# checked-in baseline (BENCH_host.json). Informational, not a gate:
-# ns/op on a shared CI box is too noisy to fail the build on, so CI
-# runs it with `-` / continue-on-error and surfaces the table instead.
+# benchdiff re-runs the benchmarks and compares ns/op, B/op and
+# allocs/op against the checked-in baseline (BENCH_host.json).
+# Informational, not a gate: ns/op on a shared CI box is too noisy to
+# fail the build on, so CI runs it with `-` / continue-on-error and
+# surfaces the table instead.
 BENCH_BASELINE ?= BENCH_host.json
 
 benchdiff:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core \
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchjson -host $(BENCH_HOST) -out BENCH_current.json
 	-$(GO) run ./cmd/benchjson -diff -threshold 0.25 $(BENCH_BASELINE) BENCH_current.json
 

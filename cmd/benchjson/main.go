@@ -1,8 +1,9 @@
 // Command benchjson turns `go test -bench` output into a machine-
 // readable perf-trajectory file. It reads the benchmark text from
-// stdin, extracts ns/op per benchmark, attaches the machine metadata
-// needed to compare runs honestly (host label, Go version, OS, arch,
-// CPU count), and writes one JSON document.
+// stdin, extracts ns/op per benchmark (plus B/op and allocs/op when
+// the run used -benchmem), attaches the machine metadata needed to
+// compare runs honestly (host label, Go version, OS, arch, CPU count),
+// and writes one JSON document.
 //
 // Usage:
 //
@@ -13,15 +14,23 @@
 // harmlessly. Results keep their input order, which `go test` makes
 // deterministic, so reruns on the same machine diff cleanly.
 //
+// A change that claims a speed-up can carry its own "before" column:
+//
+//	go test ... | benchjson -host host -before BENCH_parent.json -out BENCH_host.json
+//
+// copies the other report's results into the new one's "before" list,
+// so one file holds the before and after rows. Diffs and baselines
+// read only "benchmarks".
+//
 // Diff mode compares two report files instead of reading stdin:
 //
 //	benchjson -diff BENCH_old.json BENCH_new.json
 //	benchjson -diff -threshold 0.10 BENCH_old.json BENCH_new.json
 //
-// It prints per-benchmark ns/op deltas (shared machinery with
-// cmd/obsdiff) and exits 1 when any benchmark moved beyond
-// -threshold, 0 otherwise — `make benchdiff` runs it non-blocking
-// against the checked-in baseline.
+// It prints per-benchmark ns/op, B/op and allocs/op deltas (shared
+// machinery with cmd/obsdiff) and exits 1 when any of them moved
+// beyond -threshold, 0 otherwise — `make benchdiff` runs it
+// non-blocking against the checked-in baseline.
 package main
 
 import (
@@ -46,19 +55,30 @@ type Report struct {
 	GOARCH    string   `json:"goarch"`
 	NumCPU    int      `json:"num_cpu"`
 	Results   []Result `json:"benchmarks"`
+	// Before holds the benchmarks as measured on an earlier commit,
+	// when the report was written with -before.
+	Before []Result `json:"before,omitempty"`
 }
 
 // Result is one benchmark line: the name as printed (including the
-// -N GOMAXPROCS suffix), the iteration count and the ns/op figure.
+// -N GOMAXPROCS suffix), the iteration count, the ns/op figure and,
+// for -benchmem runs, the allocation figures (absent otherwise, so a
+// kernel's 0 allocs/op stays distinguishable from "not measured").
 type Result struct {
-	Name    string  `json:"name"`
-	Iters   int64   `json:"iters"`
-	NsPerOp float64 `json:"ns_per_op"`
+	Name        string  `json:"name"`
+	Iters       int64   `json:"iters"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 }
 
-// benchLine matches `BenchmarkName-8  	      12	  98765 ns/op`
-// with any extra per-op metrics after the ns/op column ignored.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op`)
+// benchLine matches `BenchmarkName-8  	      12	  98765 ns/op`;
+// memLine finds -benchmem's `  12 B/op	  3 allocs/op` columns after it.
+// Other custom metrics (MB/s, b.ReportMetric units) are ignored.
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op`)
+	memLine   = regexp.MustCompile(`\s(\d+) B/op\s+(\d+) allocs/op`)
+)
 
 // Parse extracts the benchmark results from `go test -bench` text.
 func Parse(r io.Reader) ([]Result, error) {
@@ -78,7 +98,16 @@ func Parse(r io.Reader) ([]Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchjson: bad ns/op in %q: %w", sc.Text(), err)
 		}
-		out = append(out, Result{Name: m[1], Iters: iters, NsPerOp: ns})
+		r := Result{Name: m[1], Iters: iters, NsPerOp: ns}
+		if mm := memLine.FindStringSubmatch(sc.Text()); mm != nil {
+			b, errB := strconv.ParseInt(mm[1], 10, 64)
+			a, errA := strconv.ParseInt(mm[2], 10, 64)
+			if errB != nil || errA != nil {
+				return nil, fmt.Errorf("benchjson: bad allocation figures in %q", sc.Text())
+			}
+			r.BytesPerOp, r.AllocsPerOp = &b, &a
+		}
+		out = append(out, r)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("benchjson: reading input: %w", err)
@@ -86,8 +115,9 @@ func Parse(r io.Reader) ([]Result, error) {
 	return out, nil
 }
 
-// Render builds the report document for a host label.
-func Render(host string, results []Result) ([]byte, error) {
+// Render builds the report document for a host label, with before
+// as its optional "before" column.
+func Render(host string, results, before []Result) ([]byte, error) {
 	rep := Report{
 		Host:      host,
 		GoVersion: runtime.Version(),
@@ -95,6 +125,7 @@ func Render(host string, results []Result) ([]byte, error) {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 		Results:   results,
+		Before:    before,
 	}
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -114,6 +145,7 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	out := fs.String("out", "", "output path; stdout when empty")
 	diff := fs.Bool("diff", false, "compare two report files (old new) instead of reading stdin")
 	threshold := fs.Float64("threshold", 0, "with -diff: relative ns/op change (fraction) a benchmark must exceed to fail")
+	beforePath := fs.String("before", "", "report whose results become this report's \"before\" rows")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -129,7 +161,21 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stderr, "benchjson: no benchmark result lines on stdin")
 		return 1
 	}
-	doc, err := Render(*host, results)
+	var before []Result
+	if *beforePath != "" {
+		raw, err := os.ReadFile(*beforePath)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchjson: %v\n", err)
+			return 1
+		}
+		var rep Report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			fmt.Fprintf(stderr, "benchjson: %s: %v\n", *beforePath, err)
+			return 1
+		}
+		before = rep.Results
+	}
+	doc, err := Render(*host, results, before)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchjson: %v\n", err)
 		return 1
@@ -149,8 +195,9 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	return 0
 }
 
-// runDiff is the -diff mode: per-benchmark ns/op deltas between two
-// report files, exit 1 when any moved beyond the threshold.
+// runDiff is the -diff mode: per-benchmark ns/op (and allocation)
+// deltas between two report files, exit 1 when any moved beyond the
+// threshold.
 func runDiff(stdout, stderr io.Writer, paths []string, threshold float64) int {
 	if len(paths) != 2 {
 		fmt.Fprintln(stderr, "benchjson: -diff needs exactly two report files (old new)")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -32,15 +33,40 @@ func TestParse(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("parsed %d results, want 3: %+v", len(results), results)
 	}
+	bytesPerOp, allocsPerOp := int64(12), int64(3)
 	want := []Result{
 		{Name: "BenchmarkTable1Capability-8", Iters: 1, NsPerOp: 91234567},
-		{Name: "BenchmarkFig3Level1-8", Iters: 2, NsPerOp: 45000000},
+		{Name: "BenchmarkFig3Level1-8", Iters: 2, NsPerOp: 45000000, BytesPerOp: &bytesPerOp, AllocsPerOp: &allocsPerOp},
 		{Name: "BenchmarkArgminDistance-8", Iters: 1000000, NsPerOp: 1234.5},
 	}
 	for i, w := range want {
-		if results[i] != w {
+		if !reflect.DeepEqual(results[i], w) {
 			t.Errorf("result %d = %+v, want %+v", i, results[i], w)
 		}
+	}
+}
+
+// TestParseBenchmem: -benchmem columns survive a throughput column in
+// front of them, and an allocation-free benchmark records explicit
+// zeros in the report rather than dropping the fields.
+func TestParseBenchmem(t *testing.T) {
+	const line = "BenchmarkArgminDistance-2   \t  500000\t      2345 ns/op\t 27.94 MB/s\t       0 B/op\t       0 allocs/op\n"
+	results, err := Parse(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].BytesPerOp == nil || results[0].AllocsPerOp == nil {
+		t.Fatalf("allocation columns not kept: %+v", results)
+	}
+	if *results[0].BytesPerOp != 0 || *results[0].AllocsPerOp != 0 || results[0].NsPerOp != 2345 {
+		t.Fatalf("parsed %+v", results[0])
+	}
+	doc, err := Render("h", results, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(doc, []byte(`"bytes_per_op": 0`)) || !bytes.Contains(doc, []byte(`"allocs_per_op": 0`)) {
+		t.Fatalf("zero allocation figures missing from the report:\n%s", doc)
 	}
 }
 
@@ -55,7 +81,7 @@ func TestParseEmpty(t *testing.T) {
 }
 
 func TestRenderMetadata(t *testing.T) {
-	doc, err := Render("ci", []Result{{Name: "BenchmarkX-4", Iters: 10, NsPerOp: 5}})
+	doc, err := Render("ci", []Result{{Name: "BenchmarkX-4", Iters: 10, NsPerOp: 5}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +123,40 @@ func TestRunWritesFile(t *testing.T) {
 	}
 	if len(rep.Results) != 3 {
 		t.Errorf("written report has %d results, want 3", len(rep.Results))
+	}
+}
+
+// TestRunBefore: -before copies another report's results into the
+// "before" column, and the diff machinery still reads only the
+// current rows.
+func TestRunBefore(t *testing.T) {
+	dir := t.TempDir()
+	parent := filepath.Join(dir, "parent.json")
+	if err := os.WriteFile(parent, []byte(`{"host":"h","benchmarks":[{"name":"BenchmarkArgminDistance-8","iters":5,"ns_per_op":2000}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "BENCH_h.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.NewReader(sampleBenchOutput), &stdout, &stderr, []string{"-host", "h", "-before", parent, "-out", out}); code != 0 {
+		t.Fatalf("run exit = %d, stderr: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != 3 || len(rep.Before) != 1 || rep.Before[0].NsPerOp != 2000 {
+		t.Fatalf("report rows %d / before %+v", len(rep.Results), rep.Before)
+	}
+	stdout.Reset()
+	if code := run(strings.NewReader(""), &stdout, &stderr, []string{"-diff", out, out}); code != 0 {
+		t.Fatalf("self-diff exit = %d:\n%s", code, stdout.String())
+	}
+	if code := run(strings.NewReader(sampleBenchOutput), &stdout, &stderr, []string{"-before", filepath.Join(dir, "missing.json")}); code != 1 {
+		t.Fatalf("missing -before file exit = %d, want 1", code)
 	}
 }
 

@@ -348,16 +348,57 @@ func shareRange(n, p, r int) (lo, hi int) {
 // together with that distance. Ties break to the lowest index, exactly
 // like the sequential baseline, so partitioned runs reproduce Lloyd's
 // assignments.
+//
+// The kernel is register-blocked over four centroids per pass: each x
+// element is loaded once for four independent sums, which also makes
+// the loop's speed far less dependent on where the linker places it
+// than the one-centroid loop was (see DESIGN.md §5). Each
+// sum still accumulates in u order and the sums are compared in j
+// order, so the result is bit-identical to the one-centroid loop the
+// k mod 4 tail runs.
 func argminDistance(x, cents []float64, d int) (int, float64) {
 	k := len(cents) / d
+	x = x[:d]
 	best := -1
 	bestDist := 0.0
+	j := 0
 	//swlint:hot distance kernel: runs once per sample per iteration
-	for j := 0; j < k; j++ {
-		c := cents[j*d : (j+1)*d]
+	for ; j+4 <= k; j += 4 {
+		c0 := cents[j*d:][:len(x)]
+		c1 := cents[(j+1)*d:][:len(x)]
+		c2 := cents[(j+2)*d:][:len(x)]
+		c3 := cents[(j+3)*d:][:len(x)]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for u, xu := range x {
+			// c−x rounds to exactly −(x−c), so the squares match the
+			// tail's, and the SSE form needs no copy of xu per centroid.
+			d0 := c0[u] - xu
+			d1 := c1[u] - xu
+			d2 := c2[u] - xu
+			d3 := c3[u] - xu
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		if best < 0 || s0 < bestDist {
+			best, bestDist = j, s0
+		}
+		if s1 < bestDist {
+			best, bestDist = j+1, s1
+		}
+		if s2 < bestDist {
+			best, bestDist = j+2, s2
+		}
+		if s3 < bestDist {
+			best, bestDist = j+3, s3
+		}
+	}
+	for ; j < k; j++ {
+		c := cents[j*d:][:len(x)]
 		s := 0.0
-		for u := 0; u < d; u++ {
-			diff := x[u] - c[u]
+		for u, xu := range x {
+			diff := xu - c[u]
 			s += diff * diff
 		}
 		if best < 0 || s < bestDist {
@@ -365,6 +406,13 @@ func argminDistance(x, cents []float64, d int) (int, float64) {
 		}
 	}
 	return best, bestDist
+}
+
+// ArgminDistance is argminDistance for callers outside the engines,
+// such as the serving path's per-shard scan, so every assignment in
+// the repository comes from one kernel with one tie rule.
+func ArgminDistance(x, cents []float64, d int) (int, float64) {
+	return argminDistance(x, cents, d)
 }
 
 // applyUpdate recomputes centroids from accumulated sums and counts,

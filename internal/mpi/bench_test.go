@@ -54,3 +54,28 @@ func BenchmarkBarrier(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSplit measures the host cost of the Level-3 communicator
+// setup at the paper's full scale: 4,096 ranks on the DES driver split
+// into 32 CG groups of m′ = 128 (color group, key position) and then
+// into 128 position communicators (color position, key group), the
+// two Splits every Level-3 epoch starts with.
+func BenchmarkSplit(b *testing.B) {
+	const size, mPrime = 4096, 128
+	w := MustWorld(machine.MustSpec(size/4), nil, size)
+	w.SetDriver(DriverSched)
+	groups := size / mPrime
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.Run(func(c *Comm) error {
+			group, pos := c.Rank()/mPrime, c.Rank()%mPrime
+			if _, err := c.Split(group, pos); err != nil {
+				return err
+			}
+			_, err := c.Split(pos+groups, group)
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -284,9 +284,18 @@ func (st *opState) err() error {
 // edge.
 func (c *Comm) opSend(st *opState, dst int, tag uint64, data []float64, ints []int64) error {
 	if st.fail != nil {
-		return c.sendPacket(dst, tag, nil, nil, st.fail)
+		return c.sendShared(dst, tag, nil, nil, 0, st.fail)
 	}
-	return c.sendPacket(dst, tag, data, ints, nil)
+	return c.sendPacket(dst, tag, data, ints)
+}
+
+// opSendShared is opSend without the copy: a clean rank hands over the
+// payload itself, charged bytes.
+func (c *Comm) opSendShared(st *opState, dst int, tag uint64, data []float64, ints []int64, bytes int) error {
+	if st.fail != nil {
+		return c.sendShared(dst, tag, nil, nil, 0, st.fail)
+	}
+	return c.sendShared(dst, tag, data, ints, bytes, nil)
 }
 
 // opRecv is the poison-aware protocol receive: poison packets and

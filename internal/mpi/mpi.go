@@ -16,7 +16,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/fault"
@@ -28,7 +27,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// packet is one message in flight between ranks.
+// packet is one message in flight between ranks. A broadcast packet's
+// payload is shared by every rank below its root in the tree (see
+// bcastTree), so received broadcast payloads are read-only; every other
+// packet carries a private copy.
 type packet struct {
 	src  int // global rank
 	tag  uint64
@@ -62,6 +64,11 @@ type World struct {
 
 	commIDs sync.Mutex
 	nextID  uint64 // guarded by commIDs
+
+	// splits holds the partitions Split computes on a parent's rank 0
+	// until every member has read its entry (see split.go).
+	splitMu sync.Mutex
+	splits  map[splitKey]*splitTable // guarded by splitMu
 
 	clocks []*vclock.Clock
 
@@ -167,6 +174,7 @@ func (w *World) RunLive(fn func(c *Comm) error) error {
 // in a previous epoch are dead letters), arms fresh abort channels,
 // then hands the epoch to the selected driver, which runs fn on each
 // member and publishes each member's failure to late-blocking peers.
+// Split partitions a failure left unread die with the epoch.
 func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) error {
 	for g := range w.inbox {
 		if w.inbox[g] != nil {
@@ -187,6 +195,7 @@ func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) err
 		w.aborted[g] = make(chan struct{})
 	}
 	w.abortFail = make([]*RankFailure, w.size)
+	defer w.dropSplits()
 	if w.driver == DriverSched {
 		return w.runMembersSched(id, members, fn)
 	}
@@ -310,20 +319,35 @@ func (c *Comm) nextTag() uint64 {
 	return c.id<<20 | (c.seq & (1<<20 - 1))
 }
 
-// send transmits payloads to communicator rank dst under tag.
-// The payloads are copied; the caller may reuse its buffers.
-func (c *Comm) send(dst int, tag uint64, data []float64, ints []int64) error {
-	return c.sendPacket(dst, tag, data, ints, nil)
+// sendPacket transmits data and ints to communicator rank dst under
+// tag. The packet carries copies, so the caller may reuse its buffers
+// as soon as sendPacket returns; sendShared does the rest.
+func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64) error {
+	// Fresh variables for the copies keep the caller's buffers from
+	// escaping to the heap.
+	var pd []float64
+	var pi []int64
+	if len(data) > 0 {
+		pd = append(make([]float64, 0, len(data)), data...)
+	}
+	if len(ints) > 0 {
+		pi = append(make([]int64, 0, len(ints)), ints...)
+	}
+	return c.sendShared(dst, tag, pd, pi, (len(data)+len(ints))*ldm.ElemBytes, nil)
 }
 
-// sendPacket is send plus the fault machinery: the sender fail-stops
-// at this boundary if its crash time has passed, transient message
-// faults are retried with the wasted wire time and a doubling backoff
-// charged to the sender's clock, and delivery to a crashed or aborted
-// peer is dropped (dead letters would otherwise fill the peer's inbox
-// and block the sender forever). A non-nil fail marks the packet as
+// sendShared is the send path without the copy: the packet carries
+// data and ints themselves, which the sender and every receiver must
+// treat as read-only from here on, and the transfer is charged bytes
+// whatever the payload's size — a charge-only hop passes nil payloads.
+// It applies the fault machinery: the sender fail-stops at this
+// boundary if its crash time has passed, transient message faults are
+// retried with the wasted wire time and a doubling backoff charged to
+// the sender's clock, and delivery to a crashed or aborted peer is
+// dropped (dead letters would otherwise fill the peer's inbox and
+// block the sender forever). A non-nil fail marks the packet as
 // poison.
-func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fail *RankFailure) error {
+func (c *Comm) sendShared(dst int, tag uint64, data []float64, ints []int64, bytes int, fail *RankFailure) error {
 	if err := c.checkSelfCrash(); err != nil {
 		return err
 	}
@@ -334,17 +358,10 @@ func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64, fai
 		return fmt.Errorf("mpi: rank %d sending to itself", c.rank)
 	}
 	srcG, dstG := c.Global(), c.members[dst]
-	bytes := (len(data) + len(ints)) * ldm.ElemBytes
 	c.w.stats.AddNet(int64(bytes))
 	// The sender is busy for the injection duration; the wire time is
 	// charged on the receive side through the timestamp.
-	p := packet{src: srcG, tag: tag, fail: fail}
-	if len(data) > 0 {
-		p.data = append(make([]float64, 0, len(data)), data...)
-	}
-	if len(ints) > 0 {
-		p.ints = append(make([]int64, 0, len(ints)), ints...)
-	}
+	p := packet{src: srcG, tag: tag, data: data, ints: ints, fail: fail}
 	srcCG, dstCG := c.w.cgOf[srcG], c.w.cgOf[dstG]
 	tt, err := c.w.transferTime(srcCG, dstCG, bytes, c.Clock().Now())
 	if err != nil {
@@ -497,7 +514,7 @@ func (c *Comm) Send(dst int, tag int, data []float64, ints []int64) error {
 		return fmt.Errorf("mpi: user tag %d out of range", tag)
 	}
 	u, m := c.obsBegin()
-	err := c.send(dst, uint64(tag)|1<<63, data, ints)
+	err := c.sendPacket(dst, uint64(tag)|1<<63, data, ints)
 	c.obsEnd(u, m, "mpi:send", int64((len(data)+len(ints))*ldm.ElemBytes))
 	return err
 }
@@ -556,10 +573,43 @@ func (c *Comm) Bcast(root int, data []float64, ints []int64) error {
 
 // bcastOp is the poison-aware broadcast body shared by Bcast and the
 // composite collectives: a poisoned rank walks the identical tree
-// forwarding the failure marker instead of the payload.
+// forwarding the failure marker instead of the payload. The root
+// snapshots its payload once and the snapshot travels down the tree
+// unchanged; every other rank copies it into its own buffers, so all
+// ranks may modify data and ints as soon as bcastOp returns.
 func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) error {
+	var sd []float64
+	var si []int64
+	if c.rank == root && c.size > 1 {
+		if len(data) > 0 {
+			sd = append(make([]float64, 0, len(data)), data...)
+		}
+		if len(ints) > 0 {
+			si = append(make([]int64, 0, len(ints)), ints...)
+		}
+	}
+	d, i, err := c.bcastTree(st, root, sd, si, (len(data)+len(ints))*ldm.ElemBytes)
+	if err != nil || st.fail != nil || c.rank == root {
+		return err
+	}
+	if len(d) != len(data) || len(i) != len(ints) {
+		return fmt.Errorf("mpi: bcast payload mismatch on rank %d", c.rank)
+	}
+	copy(data, d)
+	copy(ints, i)
+	return nil
+}
+
+// bcastTree walks one broadcast's binomial tree: the root sends data
+// and ints to its children, every other rank receives the packet from
+// its parent and forwards that same packet to its children. Payloads
+// are shared, never copied, so they are read-only from the moment the
+// root hands them over; each hop is charged bytes whatever it carries.
+// It returns the payload the rank holds at the end: the root's own, or
+// the received one (nil once the rank is poisoned).
+func (c *Comm) bcastTree(st *opState, root int, data []float64, ints []int64, bytes int) ([]float64, []int64, error) {
 	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpi: bcast root %d out of range", root)
+		return nil, nil, fmt.Errorf("mpi: bcast root %d out of range", root)
 	}
 	tag := c.nextTag()
 	rel := (c.rank - root + c.size) % c.size
@@ -570,15 +620,9 @@ func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) erro
 			src := (c.rank - mask + c.size) % c.size
 			d, i, err := c.opRecv(st, commRank(src), tag)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			if st.fail == nil {
-				if len(d) != len(data) || len(i) != len(ints) {
-					return fmt.Errorf("mpi: bcast payload mismatch on rank %d", c.rank)
-				}
-				copy(data, d)
-				copy(ints, i)
-			}
+			data, ints = d, i
 			break
 		}
 		mask <<= 1
@@ -587,12 +631,12 @@ func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) erro
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < c.size && rel&(mask-1) == 0 && rel&mask == 0 {
 			dst := (c.rank + mask) % c.size
-			if err := c.opSend(st, dst, tag, data, ints); err != nil {
-				return err
+			if err := c.opSendShared(st, dst, tag, data, ints, bytes); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
-	return nil
+	return data, ints, nil
 }
 
 // commRank is an identity helper that documents rank-space: all
@@ -777,72 +821,4 @@ func (c *Comm) allGatherInts(contrib []int64) ([]int64, error) {
 		return nil, st.fail
 	}
 	return all, nil
-}
-
-// Split partitions the communicator: ranks passing equal color form a
-// new communicator, ordered by (key, rank). Every rank of the parent
-// must call Split. The returned Comm is ready for collectives within
-// the partition.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	u, m := c.obsBegin()
-	sub, err := c.split(color, key)
-	c.obsEnd(u, m, "mpi:split", 0)
-	return sub, err
-}
-
-func (c *Comm) split(color, key int) (*Comm, error) {
-	pairs, err := c.AllGatherInts([]int64{int64(color), int64(key)})
-	if err != nil {
-		return nil, err
-	}
-	type mem struct{ color, key, rank int }
-	var mine []mem
-	for r := 0; r < c.size; r++ {
-		col := int(pairs[2*r])
-		if col == color {
-			mine = append(mine, mem{col, int(pairs[2*r+1]), r})
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].key != mine[j].key {
-			return mine[i].key < mine[j].key
-		}
-		return mine[i].rank < mine[j].rank
-	})
-	members := make([]int, len(mine))
-	newRank := -1
-	for i, m := range mine {
-		members[i] = c.members[m.rank]
-		if m.rank == c.rank {
-			newRank = i
-		}
-	}
-	if newRank < 0 {
-		return nil, fmt.Errorf("mpi: rank %d missing from its own split", c.rank)
-	}
-	// Communicator identity must agree across all members of the new
-	// communicator without extra communication, and must be unique
-	// across every communicator in the world. All ranks hold the same
-	// gathered color table and the same (parent id, parent seq), so
-	// the tuple (parent id, parent seq, index of this color among the
-	// sorted distinct colors) is both agreed and collision-free.
-	distinct := make(map[int]struct{}, c.size)
-	var colors []int
-	for r := 0; r < c.size; r++ {
-		col := int(pairs[2*r])
-		if _, ok := distinct[col]; !ok {
-			distinct[col] = struct{}{}
-			colors = append(colors, col)
-		}
-	}
-	sort.Ints(colors)
-	colorIdx := sort.SearchInts(colors, color)
-	id := (c.id*1_000_003+c.seq)*65536 + uint64(colorIdx) + 1
-	return &Comm{
-		w:       c.w,
-		id:      id,
-		rank:    newRank,
-		size:    len(members),
-		members: members,
-	}, nil
 }

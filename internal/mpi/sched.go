@@ -148,7 +148,7 @@ func (w *World) runMembersSched(id uint64, members []int, fn func(c *Comm) error
 	return nil
 }
 
-// desDeliver is the DES half of sendPacket's final hand-off: deposit
+// desDeliver is the DES half of sendShared's final hand-off: deposit
 // straight into the destination's held buffer (its mailbox) and wake
 // the destination if it is parked waiting for exactly this message.
 // Packets bound for crashed or aborted ranks are dead letters, the

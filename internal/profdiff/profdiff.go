@@ -248,13 +248,16 @@ func sumPhases(a, b obs.ProfilePhases) obs.ProfilePhases {
 type benchReport struct {
 	Host    string `json:"host"`
 	Results []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
+		Name        string   `json:"name"`
+		NsPerOp     float64  `json:"ns_per_op"`
+		BytesPerOp  *float64 `json:"bytes_per_op"`
+		AllocsPerOp *float64 `json:"allocs_per_op"`
 	} `json:"benchmarks"`
 }
 
 // LoadBench loads a benchjson report as a table of ns/op per
-// benchmark name.
+// benchmark name, plus "<name>:B/op" and "<name>:allocs/op" rows for
+// benchmarks recorded with -benchmem.
 func LoadBench(path string) (*Table, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -270,6 +273,12 @@ func LoadBench(path string) (*Table, error) {
 	t := NewTable(path)
 	for _, r := range rep.Results {
 		t.Add("bench:"+r.Name, r.NsPerOp)
+		if r.BytesPerOp != nil {
+			t.Add("bench:"+r.Name+":B/op", *r.BytesPerOp)
+		}
+		if r.AllocsPerOp != nil {
+			t.Add("bench:"+r.Name+":allocs/op", *r.AllocsPerOp)
+		}
 	}
 	return t, nil
 }

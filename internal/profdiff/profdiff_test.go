@@ -150,8 +150,8 @@ func TestLoadBenchAndDiff(t *testing.T) {
 		}
 		return p
 	}
-	old := write("old.json", `{"host":"h","benchmarks":[{"name":"BenchmarkA-8","iters":10,"ns_per_op":100},{"name":"BenchmarkB-8","iters":10,"ns_per_op":200}]}`)
-	cur := write("new.json", `{"host":"h","benchmarks":[{"name":"BenchmarkA-8","iters":10,"ns_per_op":150},{"name":"BenchmarkC-8","iters":10,"ns_per_op":50}]}`)
+	old := write("old.json", `{"host":"h","benchmarks":[{"name":"BenchmarkA-8","iters":10,"ns_per_op":100,"bytes_per_op":64,"allocs_per_op":2},{"name":"BenchmarkB-8","iters":10,"ns_per_op":200}]}`)
+	cur := write("new.json", `{"host":"h","benchmarks":[{"name":"BenchmarkA-8","iters":10,"ns_per_op":150,"bytes_per_op":0,"allocs_per_op":0},{"name":"BenchmarkC-8","iters":10,"ns_per_op":50}]}`)
 	to, err := LoadBench(old)
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +167,15 @@ func TestLoadBenchAndDiff(t *testing.T) {
 	}
 	if r := byKey["bench:BenchmarkA-8"]; math.Abs(r.Rel()-0.5) > 1e-9 {
 		t.Errorf("A rel %g, want 0.5", r.Rel())
+	}
+	if r := byKey["bench:BenchmarkA-8:B/op"]; !r.InOld || !r.InNew || r.Old != 64 || r.New != 0 {
+		t.Errorf("A B/op row %+v, want 64 -> 0", r)
+	}
+	if r := byKey["bench:BenchmarkA-8:allocs/op"]; !r.InOld || !r.InNew || r.Old != 2 || r.New != 0 {
+		t.Errorf("A allocs/op row %+v, want 2 -> 0", r)
+	}
+	if _, ok := byKey["bench:BenchmarkB-8:B/op"]; ok {
+		t.Error("B/op row invented for a benchmark run without -benchmem")
 	}
 	if r := byKey["bench:BenchmarkB-8"]; r.InNew {
 		t.Error("B should be gone in new")

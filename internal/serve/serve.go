@@ -38,6 +38,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Shard is a contiguous centroid-range stripe [Lo, Hi) of a snapshot —
@@ -115,25 +117,17 @@ func NewSnapshot(epoch uint64, cents []float64, k, d, shards int, trained int64,
 func (s *Snapshot) Staleness() time.Duration { return time.Since(s.CreatedAt) }
 
 // assignShard scans one centroid stripe for the nearest centroid to x
-// and returns its global index and squared distance. It is the per-
-// reducer half of the sharded query: stripe argmins merge by min, ties
-// to the lowest index, exactly like core.argminDistance over the full
-// matrix.
+// and returns its global index and squared distance, -1 for an empty
+// stripe. It is the per-reducer half of the sharded query and runs the
+// batch engines' distance kernel, core.ArgminDistance, on the stripe:
+// stripe argmins merge by min, ties to the lowest index, so the merge
+// equals the kernel over the full matrix.
 func (s *Snapshot) assignShard(x []float64, sh Shard) (int, float64) {
-	d := s.D
-	best, bestDist := -1, 0.0
-	for j := sh.Lo; j < sh.Hi; j++ {
-		c := s.Centroids[j*d : (j+1)*d]
-		acc := 0.0
-		for u := 0; u < d; u++ {
-			diff := x[u] - c[u]
-			acc += diff * diff
-		}
-		if best < 0 || acc < bestDist {
-			best, bestDist = j, acc
-		}
+	if sh.Lo == sh.Hi {
+		return -1, 0
 	}
-	return best, bestDist
+	j, dist := core.ArgminDistance(x, s.Centroids[sh.Lo*s.D:sh.Hi*s.D], s.D)
+	return sh.Lo + j, dist
 }
 
 // Assign returns the nearest centroid to x by merging the per-shard
