@@ -56,3 +56,26 @@ func BenchmarkLevel3Iteration(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLevel3Scale measures one Level-3 iteration at the 1,024-node
+// Figure 6b point on the DES driver: the ImgNet shape (n = 1,265,723/64,
+// d = 1,024, k = 2,000) on 4,096 ranks in CG groups of m' = 128, every
+// 2,048th sample computed. Host time is set-up (communicator splits,
+// centroid stripes) and the Update allreduce over stripes that almost
+// no sample reaches.
+func BenchmarkLevel3Scale(b *testing.B) {
+	g, err := dataset.NewGaussianMixture("ILSVRC2012", dataset.ImgNetN/64, 1024, 128, 0.25, 2.0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{
+		Spec: machine.MustSpec(1024), Level: Level3, K: 2000, MPrimeGroup: 128,
+		MaxIters: 1, SampleStride: 2048, Sched: true, Seed: 1,
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

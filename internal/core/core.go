@@ -415,6 +415,20 @@ func ArgminDistance(x, cents []float64, d int) (int, float64) {
 	return argminDistance(x, cents, d)
 }
 
+// clearCounted readies an Update step's buffers for the next
+// accumulation: it zeroes the rows of sums whose count is non-zero,
+// then those counts. Every other row is +0 already — a fresh buffer,
+// or the result of AllReduceRowSums, whose contract is exactly that —
+// so the cost follows the rows that carried samples, not k·d.
+func clearCounted(sums []float64, counts []int64, d int) {
+	for j, n := range counts {
+		if n != 0 {
+			clear(sums[j*d : (j+1)*d])
+			counts[j] = 0
+		}
+	}
+}
+
 // applyUpdate recomputes centroids from accumulated sums and counts,
 // keeping the previous centroid for empty clusters, and returns the
 // total squared movement. cents and sums are kLocal-by-d row-major;

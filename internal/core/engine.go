@@ -36,10 +36,10 @@ type iterEngine interface {
 	setup(work *mpi.Comm, env *epochEnv, cents []float64) (engineState, error)
 	// adoptsModel reports whether setup keeps (and mutates) the full
 	// cents matrix it was given. Replicated engines do, so every rank
-	// needs a private copy; striping engines copy their stripe out and
-	// may share one read-only matrix — at thousands of ranks a private
-	// k·d copy apiece is the difference between megabytes and tens of
-	// gigabytes.
+	// needs a private copy; striping engines read their stripe in place
+	// and copy it only before writing, so they may share one read-only
+	// matrix — at thousands of ranks a private k·d copy apiece is the
+	// difference between megabytes and tens of gigabytes.
 	adoptsModel() bool
 }
 
@@ -135,7 +135,10 @@ func assembleModel(env *epochEnv, k, d int) []float64 {
 // survivors, restores the last checkpoint and resumes. Every recovery
 // step is charged to the virtual clocks and lands in the trace
 // recovery counters and the Result's Recovery report.
-func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Result, error) {
+//
+// init is the initial k-by-d centroid matrix. Engines that stripe the
+// model share it read-only across ranks, so runEngine never writes it.
+func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine, init []float64) (*Result, error) {
 	n, d, k := src.N(), src.D(), cfg.K
 	faulty := !cfg.Faults.Empty()
 
@@ -179,11 +182,6 @@ func runEngine(cfg Config, src dataset.Source, plan Plan, eng iterEngine) (*Resu
 		chunkSeconds = cfg.Spec.BW.DMALatency +
 			float64(costmodel.DMAChunkElems*8)/cfg.Spec.BW.DMA
 	}
-	init, err := initialCentroids(cfg, src)
-	if err != nil {
-		return nil, err
-	}
-
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1

@@ -111,8 +111,9 @@ func (level3Engine) replan(env *epochEnv) error {
 	return nil
 }
 
-// adoptsModel is false: setup copies this rank's stripe out of cents
-// and never touches the matrix again, so all ranks may share it.
+// adoptsModel is false: setup keeps a read-only view of this rank's
+// stripe of cents and the step copies it before the first write, so
+// all ranks may share the matrix.
 func (level3Engine) adoptsModel() bool { return false }
 
 func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engineState, error) {
@@ -136,9 +137,11 @@ func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engin
 
 	// Each rank carves its centroid stripe out of the full model (the
 	// initial matrix or a restored checkpoint), so an epoch with a
-	// smaller m' naturally re-stripes with wider slices.
+	// smaller m' naturally re-stripes with wider slices. The stripe is
+	// a view into the shared matrix, capped so nothing can grow into a
+	// neighbour's rows; step copies it on first write.
 	kLo, kHi := shareRange(k, mPrime, pos)
-	slice := append([]float64(nil), cents[kLo*d:kHi*d]...)
+	slice := cents[kLo*d : kHi*d : kHi*d]
 
 	// The dataflow shard: the epoch group's share of the full dataset,
 	// or the original group's static shard under DropLostShards.
@@ -173,15 +176,20 @@ type level3State struct {
 	posComm    *mpi.Comm // same stripe position across CG groups
 	group, pos int
 	kLo, kHi   int
-	cents      []float64
-	sums       []float64
-	counts     []int64
-	lo, hi     int
-	buf        []float64
-	idxs       []int
-	vals       []float64
-	ids        []int64
-	d          int
+	// cents is the rank's centroid stripe: a read-only view into the
+	// matrix setup was given until private is set, then the rank's own
+	// copy. Most stripes of a strided run never receive a sample and
+	// are never copied.
+	cents   []float64
+	private bool
+	sums    []float64
+	counts  []int64
+	lo, hi  int
+	buf     []float64
+	idxs    []int
+	vals    []float64
+	ids     []int64
+	d       int
 }
 
 func (st *level3State) step(iter int) (stepOut, error) {
@@ -189,12 +197,7 @@ func (st *level3State) step(iter int) (stepOut, error) {
 	k := cfg.K
 	e := env.eplan
 	at := st.work.Clock().Now()
-	for i := range st.sums {
-		st.sums[i] = 0
-	}
-	for j := range st.counts {
-		st.counts[j] = 0
-	}
+	clearCounted(st.sums, st.counts, d)
 
 	// Assign step in batches: local partial argmin against the slice,
 	// then the group's min-reduce over MPI.
@@ -248,7 +251,7 @@ func (st *level3State) step(iter int) (stepOut, error) {
 
 	// Update step: combine the slice sums across CG groups (ring
 	// algorithm for large slice volumes).
-	if err := st.posComm.AllReduceSumAuto(st.sums, st.counts); err != nil {
+	if err := st.posComm.AllReduceRowSums(st.sums, st.counts, d); err != nil {
 		return stepOut{}, err
 	}
 	out := stepOut{cost: ic}
@@ -260,6 +263,17 @@ func (st *level3State) step(iter int) (stepOut, error) {
 		}
 		if st.work.Rank() == 0 {
 			out.objective = obj[0] / float64(cnt[0])
+		}
+	}
+	if !st.private {
+		// applyUpdate writes exactly the rows that carry a count:
+		// copy the stripe out of the shared matrix first.
+		for _, cnt := range st.counts {
+			if cnt != 0 {
+				st.cents = append([]float64(nil), st.cents...)
+				st.private = true
+				break
+			}
 		}
 	}
 	movement := applyUpdate(st.cents, st.sums, st.counts, d)

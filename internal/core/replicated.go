@@ -75,12 +75,7 @@ type replicatedState struct {
 func (st *replicatedState) step(iter int) (stepOut, error) {
 	env, cfg, d := st.env, &st.env.cfg, st.d
 	at := st.work.Clock().Now()
-	for i := range st.sums {
-		st.sums[i] = 0
-	}
-	for j := range st.counts {
-		st.counts[j] = 0
-	}
+	clearCounted(st.sums, st.counts, d)
 	// Assign step: either the full owned range (functionally strided,
 	// always charged in full) or a rotating mini-batch of it (charged
 	// as the batch).
@@ -128,7 +123,7 @@ func (st *replicatedState) step(iter int) (stepOut, error) {
 	// Update step: the two AllReduce operations of Algorithm 1 line 14
 	// (sums and counts travel together; the algorithm switches to a
 	// bandwidth-optimal ring for large k·d).
-	if err := st.work.AllReduceSumAuto(st.sums, st.counts); err != nil {
+	if err := st.work.AllReduceRowSums(st.sums, st.counts, d); err != nil {
 		return stepOut{}, err
 	}
 	out := stepOut{cost: ic}

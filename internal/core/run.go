@@ -35,7 +35,11 @@ func Run(cfg Config, src dataset.Source) (*Result, error) {
 	if cfg.Stats != nil {
 		before = cfg.Stats.Snapshot()
 	}
-	res, err := runEngine(cfg, src, plan, engineFor(plan))
+	init, err := initialCentroids(cfg, src)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runEngine(cfg, src, plan, engineFor(plan), init)
 	if err != nil {
 		return nil, err
 	}

@@ -192,6 +192,7 @@ func TestRuleFixtures(t *testing.T) {
 				{"collective-match", "collective.go", 45, "no matching Barrier"},
 				{"collective-match", "collective.go", 53, "no matching Gather"},
 				{"collective-match", "collective.go", 85, "no matching Reduce"},
+				{"collective-match", "collective.go", 95, "no matching AllReduceRowSums"},
 			},
 		},
 		{

@@ -55,7 +55,7 @@ var collectiveOps = map[string]string{
 	"Bcast":             "Bcast",
 	"Reduce":            "Reduce",
 	"AllReduceSum":      "AllReduceSum",
-	"AllReduceSumAuto":  "AllReduceSumAuto",
+	"AllReduceRowSums":  "AllReduceRowSums",
 	"AllReduceMinPairs": "AllReduceMinPairs",
 	"AllGatherFloats":   "AllGatherFloats",
 	"AllGatherInts":     "AllGatherInts",

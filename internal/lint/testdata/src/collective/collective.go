@@ -87,3 +87,13 @@ func SwitchLone(c *mpi.Comm, data []float64) error {
 		return nil
 	}
 }
+
+// LoneRowSums runs the Update step's allreduce on the group leaders
+// only; the other arm skips it.
+func LoneRowSums(c *mpi.Comm, sums []float64, counts []int64, d int) error {
+	if c.Rank()%4 == 0 {
+		return c.AllReduceRowSums(sums, counts, d)
+	} else {
+		return nil
+	}
+}

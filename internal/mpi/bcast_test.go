@@ -6,10 +6,12 @@ import (
 )
 
 // TestBcastBuffersWritableAfterReturn: broadcast hops share one
-// read-only snapshot of the root's payload, so every rank must be free
-// to overwrite its buffers the moment AllReduceSum or Bcast returns —
-// while slower peers may still be forwarding the packet. Run under
-// -race, any write that reaches a shared payload is reported.
+// read-only snapshot of the root's payload, and allreduce reduce hops
+// share the sender's own buffers, so every rank must be free to
+// overwrite its buffers the moment AllReduceSum, AllReduceRowSums,
+// AllReduceMinPairs or Bcast returns — while slower peers may still be
+// forwarding the packet. Run under -race, any write that reaches a
+// shared payload is reported.
 func TestBcastBuffersWritableAfterReturn(t *testing.T) {
 	const size, rounds, n = 13, 20, 64
 	for _, d := range []Driver{DriverGoroutine, DriverSched} {
@@ -33,6 +35,47 @@ func TestBcastBuffersWritableAfterReturn(t *testing.T) {
 							return fmt.Errorf("round %d: allreduce[%d] = %v/%d, want %v", round, j, data[j], ints[j], want)
 						}
 						data[j], ints[j] = -1, -1
+					}
+					// Row sums: rows counted on a rotating subset of
+					// ranks, the others all +0.
+					for row := 0; row < n/4; row++ {
+						ints[row] = 0
+						if (row+round+c.Rank())%3 == 0 {
+							ints[row] = 1
+						}
+						for j := row * 4; j < (row+1)*4; j++ {
+							data[j] = float64(ints[row]) * float64(j+1)
+						}
+					}
+					if err := c.AllReduceRowSums(data, ints[:n/4], 4); err != nil {
+						return err
+					}
+					for row := 0; row < n/4; row++ {
+						cnt := int64(0)
+						for r := 0; r < size; r++ {
+							if (row+round+r)%3 == 0 {
+								cnt++
+							}
+						}
+						if ints[row] != cnt || data[row*4+3] != float64(cnt)*float64(row*4+4) {
+							return fmt.Errorf("round %d: row sums[%d] = %v/%d, want count %d", round, row, data[row*4+3], ints[row], cnt)
+						}
+					}
+					for j := range data {
+						data[j], ints[j] = -3, -3
+					}
+					for j := range data {
+						data[j] = float64((c.Rank()*7 + j + round) % 5)
+						ints[j] = int64(c.Rank())
+					}
+					if err := c.AllReduceMinPairs(data, ints); err != nil {
+						return err
+					}
+					for j := range data {
+						if data[j] != 0 {
+							return fmt.Errorf("round %d: min-pairs[%d] = %v, want 0", round, j, data[j])
+						}
+						data[j], ints[j] = -4, -4
 					}
 					root := round % size
 					if c.Rank() == root {

@@ -279,9 +279,10 @@ func (st *opState) err() error {
 	return st.fail
 }
 
-// opSend is the poison-aware protocol send: a clean rank transmits the
-// payload, a poisoned rank transmits the failure marker on the same
-// edge.
+// opSend is the poison-aware protocol send: a clean rank transmits a
+// copy of the payload, a poisoned rank transmits the failure marker on
+// the same edge. Steps whose sender may write its buffers right after
+// sending (public Reduce, gather, scatter, the ring) use it.
 func (c *Comm) opSend(st *opState, dst int, tag uint64, data []float64, ints []int64) error {
 	if st.fail != nil {
 		return c.sendShared(dst, tag, nil, nil, 0, st.fail)
@@ -290,7 +291,9 @@ func (c *Comm) opSend(st *opState, dst int, tag uint64, data []float64, ints []i
 }
 
 // opSendShared is opSend without the copy: a clean rank hands over the
-// payload itself, charged bytes.
+// payload itself, charged bytes. Broadcast hops and the allreduce
+// reduce phases use it: their senders leave the payload untouched
+// until every receiver is done with it.
 func (c *Comm) opSendShared(st *opState, dst int, tag uint64, data []float64, ints []int64, bytes int) error {
 	if st.fail != nil {
 		return c.sendShared(dst, tag, nil, nil, 0, st.fail)

@@ -29,8 +29,10 @@ import (
 
 // packet is one message in flight between ranks. A broadcast packet's
 // payload is shared by every rank below its root in the tree (see
-// bcastTree), so received broadcast payloads are read-only; every other
-// packet carries a private copy.
+// bcastTree), and an allreduce reduce-phase packet carries the
+// sender's own buffer (see reduceOp), so received collective payloads
+// are read-only. Every other packet (point-to-point, public Reduce,
+// gather, scatter, the ring's segments) carries a private copy.
 type packet struct {
 	src  int // global rank
 	tag  uint64
@@ -321,7 +323,9 @@ func (c *Comm) nextTag() uint64 {
 
 // sendPacket transmits data and ints to communicator rank dst under
 // tag. The packet carries copies, so the caller may reuse its buffers
-// as soon as sendPacket returns; sendShared does the rest.
+// as soon as sendPacket returns; sendShared does the rest. Collectives
+// whose protocol keeps the sender's buffer untouched until the
+// receiver is done with it send through sendShared instead.
 func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64) error {
 	// Fresh variables for the copies keep the caller's buffers from
 	// escaping to the heap.
@@ -563,7 +567,7 @@ func (c *Comm) barrier() error {
 func (c *Comm) Bcast(root int, data []float64, ints []int64) error {
 	u, m := c.obsBegin()
 	st := &opState{}
-	err := c.bcastOp(st, root, data, ints)
+	err := c.bcastOp(st, root, data, ints, 0)
 	if err == nil {
 		err = st.err()
 	}
@@ -576,8 +580,11 @@ func (c *Comm) Bcast(root int, data []float64, ints []int64) error {
 // forwarding the failure marker instead of the payload. The root
 // snapshots its payload once and the snapshot travels down the tree
 // unchanged; every other rank copies it into its own buffers, so all
-// ranks may modify data and ints as soon as bcastOp returns.
-func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) error {
+// ranks may modify data and ints as soon as bcastOp returns. A
+// positive w is the row-aware copy-back of AllReduceRowSums: ints
+// count data's rows of w values, and only rows with a non-zero count
+// are copied (the others are +0 in the result and already +0 here).
+func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64, w int) error {
 	var sd []float64
 	var si []int64
 	if c.rank == root && c.size > 1 {
@@ -595,8 +602,16 @@ func (c *Comm) bcastOp(st *opState, root int, data []float64, ints []int64) erro
 	if len(d) != len(data) || len(i) != len(ints) {
 		return fmt.Errorf("mpi: bcast payload mismatch on rank %d", c.rank)
 	}
-	copy(data, d)
 	copy(ints, i)
+	if w == 0 {
+		copy(data, d)
+		return nil
+	}
+	for r, n := range i {
+		if n != 0 {
+			copy(data[r*w:(r+1)*w], d[r*w:(r+1)*w])
+		}
+	}
 	return nil
 }
 
@@ -650,7 +665,7 @@ func commRank(r int) int { return r }
 func (c *Comm) Reduce(root int, data []float64, ints []int64) error {
 	u, m := c.obsBegin()
 	st := &opState{}
-	err := c.reduceOp(st, root, data, ints)
+	err := c.reduceOp(st, root, data, ints, 0, false)
 	if err == nil {
 		err = st.err()
 	}
@@ -661,7 +676,15 @@ func (c *Comm) Reduce(root int, data []float64, ints []int64) error {
 // reduceOp is the poison-aware binomial reduce body. A failure in any
 // subtree propagates up to the root, which is what lets the composite
 // AllReduceSum distribute it to every survivor in the broadcast phase.
-func (c *Comm) reduceOp(st *opState, root int, data []float64, ints []int64) error {
+//
+// shared sends the rank's own buffers instead of copies. The allreduce
+// bodies may: a sender does not touch its buffers again until the
+// broadcast result reaches it, which is causally after its parent has
+// read them. A positive w makes the reduce row-aware (AllReduceRowSums):
+// ints count data's rows of w values, and a child row whose subtree
+// count is zero is all +0, so adding it is skipped. Every hop is
+// charged the dense payload either way.
+func (c *Comm) reduceOp(st *opState, root int, data []float64, ints []int64, w int, shared bool) error {
 	if root < 0 || root >= c.size {
 		return fmt.Errorf("mpi: reduce root %d out of range", root)
 	}
@@ -670,6 +693,9 @@ func (c *Comm) reduceOp(st *opState, root int, data []float64, ints []int64) err
 	for mask := 1; mask < c.size; mask <<= 1 {
 		if rel&mask != 0 {
 			dst := (c.rank - mask + c.size) % c.size
+			if shared {
+				return c.opSendShared(st, dst, tag, data, ints, (len(data)+len(ints))*ldm.ElemBytes)
+			}
 			return c.opSend(st, dst, tag, data, ints)
 		}
 		if rel+mask < c.size {
@@ -682,8 +708,19 @@ func (c *Comm) reduceOp(st *opState, root int, data []float64, ints []int64) err
 				if len(d) != len(data) || len(i) != len(ints) {
 					return fmt.Errorf("mpi: reduce payload mismatch on rank %d", c.rank)
 				}
-				for j, v := range d {
-					data[j] += v
+				if w == 0 {
+					for j, v := range d {
+						data[j] += v
+					}
+				} else {
+					for r, n := range i {
+						if n != 0 {
+							row := data[r*w : (r+1)*w]
+							for j, v := range d[r*w : (r+1)*w] {
+								row[j] += v
+							}
+						}
+					}
 				}
 				for j, v := range i {
 					ints[j] += v
@@ -701,20 +738,25 @@ func (c *Comm) reduceOp(st *opState, root int, data []float64, ints []int64) err
 // always runs, distributing the poison the reduce phase collected.
 func (c *Comm) AllReduceSum(data []float64, ints []int64) error {
 	u, m := c.obsBegin()
-	err := c.allReduceSum(data, ints)
+	err := c.allReduceSum(data, ints, 0)
 	c.obsEnd(u, m, "mpi:allreduce", int64((len(data)+len(ints))*ldm.ElemBytes))
 	return err
 }
 
-func (c *Comm) allReduceSum(data []float64, ints []int64) error {
+// allReduceSum is the binomial reduce+broadcast body of AllReduceSum
+// (w = 0) and of AllReduceRowSums' small-payload path (w > 0: ints
+// count data's rows of w values). Reduce senders share their buffers;
+// on error the buffers' contents are unspecified and peers may still
+// be reading them, so callers abandon them.
+func (c *Comm) allReduceSum(data []float64, ints []int64, w int) error {
 	if c.size == 1 {
 		return c.checkSelfCrash()
 	}
 	st := &opState{}
-	if err := c.reduceOp(st, 0, data, ints); err != nil {
+	if err := c.reduceOp(st, 0, data, ints, w, true); err != nil {
 		return err
 	}
-	if err := c.bcastOp(st, 0, data, ints); err != nil {
+	if err := c.bcastOp(st, 0, data, ints, w); err != nil {
 		return err
 	}
 	return st.err()
@@ -741,10 +783,11 @@ func (c *Comm) allReduceMinPairs(vals []float64, idxs []int64) error {
 	}
 	st := &opState{}
 	tag := c.nextTag()
-	// Binomial reduce to rank 0 with min combiner.
+	// Binomial reduce to rank 0 with min combiner. Senders share their
+	// buffers, like allReduceSum's reduce phase.
 	for mask := 1; mask < c.size; mask <<= 1 {
 		if c.rank&mask != 0 {
-			if err := c.opSend(st, c.rank-mask, tag, vals, idxs); err != nil {
+			if err := c.opSendShared(st, c.rank-mask, tag, vals, idxs, (len(vals)+len(idxs))*ldm.ElemBytes); err != nil {
 				return err
 			}
 			break
@@ -767,7 +810,7 @@ func (c *Comm) allReduceMinPairs(vals []float64, idxs []int64) error {
 			}
 		}
 	}
-	if err := c.bcastOp(st, 0, vals, idxs); err != nil {
+	if err := c.bcastOp(st, 0, vals, idxs, 0); err != nil {
 		return err
 	}
 	return st.err()
@@ -814,7 +857,7 @@ func (c *Comm) allGatherInts(contrib []int64) ([]int64, error) {
 			return nil, err
 		}
 	}
-	if err := c.bcastOp(st, 0, nil, all); err != nil {
+	if err := c.bcastOp(st, 0, nil, all, 0); err != nil {
 		return nil, err
 	}
 	if st.fail != nil {

@@ -13,17 +13,38 @@ import (
 // the regime split real MPI libraries implement.
 const ringThresholdElems = 1 << 16
 
-// AllReduceSumAuto picks the allreduce algorithm by payload size:
-// binomial reduce+broadcast below ringThresholdElems, ring at or
-// above it. Results are deterministic and identical on every rank for
-// either algorithm (though the two algorithms associate additions
-// differently, so they are not bitwise interchangeable with each
-// other).
-func (c *Comm) AllReduceSumAuto(data []float64, ints []int64) error {
-	if len(data)+len(ints) >= ringThresholdElems && c.size > 2 {
-		return c.AllReduceSumRing(data, ints)
+// AllReduceRowSums is the k-means Update step's allreduce: it sums
+// data and counts element-wise across all ranks and leaves the
+// identical result on every rank, bit for bit what the dense
+// algorithm it selects would produce. data holds len(counts) rows of
+// w values and counts[r] is row r's sample count. The caller
+// guarantees that counts are non-negative, that a row whose count is
+// zero is all +0 on this rank, and that no value is −0 (a sum
+// accumulated from +0 never is); after the call the same holds for
+// the result, so the caller can clear just the counted rows before
+// accumulating again.
+//
+// Payloads below ringThresholdElems (and communicators of two ranks)
+// take the binomial reduce+broadcast of AllReduceSum, which then moves
+// only the rows that carry a count: a parent skips adding child rows
+// whose subtree count is zero, and non-roots copy back only the
+// result's counted rows. Both skips are exact, because x + (+0) == x
+// for every x that is not −0. Larger payloads take the dense ring of
+// AllReduceSumRing. Either way every hop is charged the dense payload,
+// so virtual time and traffic equal the dense call's. The two
+// algorithms associate additions differently, so they are not bitwise
+// interchangeable with each other.
+func (c *Comm) AllReduceRowSums(data []float64, counts []int64, w int) error {
+	if w <= 0 || len(data) != len(counts)*w {
+		return fmt.Errorf("mpi: row sums of %d values do not form %d rows of width %d", len(data), len(counts), w)
 	}
-	return c.AllReduceSum(data, ints)
+	if len(data)+len(counts) >= ringThresholdElems && c.size > 2 {
+		return c.AllReduceSumRing(data, counts)
+	}
+	u, m := c.obsBegin()
+	err := c.allReduceSum(data, counts, w)
+	c.obsEnd(u, m, "mpi:allreduce", int64((len(data)+len(counts))*ldm.ElemBytes))
+	return err
 }
 
 // AllReduceSumRing sums data and ints element-wise across all ranks

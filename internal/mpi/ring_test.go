@@ -107,28 +107,32 @@ func TestRingFasterThanBinomialForLargePayloads(t *testing.T) {
 	}
 }
 
-func TestAllReduceSumAutoSelects(t *testing.T) {
+func TestAllReduceRowSumsSelects(t *testing.T) {
 	// Small payloads and size<=2 take the binomial path; both paths
 	// must produce correct sums.
-	for _, elems := range []int{10, ringThresholdElems} {
+	for _, rows := range []int{10, ringThresholdElems / 2} {
 		const size = 4
 		w := world(t, 2, size)
 		err := w.Run(func(c *Comm) error {
-			data := make([]float64, elems)
+			data := make([]float64, 2*rows)
+			counts := make([]int64, rows)
 			for j := range data {
 				data[j] = float64(c.Rank() + 1)
 			}
-			if err := c.AllReduceSumAuto(data, nil); err != nil {
+			for j := range counts {
+				counts[j] = 1
+			}
+			if err := c.AllReduceRowSums(data, counts, 2); err != nil {
 				return err
 			}
 			want := float64(size * (size + 1) / 2)
-			if data[0] != want || data[elems-1] != want {
+			if data[0] != want || data[2*rows-1] != want || counts[rows-1] != size {
 				return fmt.Errorf("sum %g, want %g", data[0], want)
 			}
 			return nil
 		})
 		if err != nil {
-			t.Errorf("elems=%d: %v", elems, err)
+			t.Errorf("rows=%d: %v", rows, err)
 		}
 	}
 }
