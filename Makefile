@@ -2,17 +2,28 @@
 # commands.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build vet lint lint-fix lint-sarif fixcheck test race faultcheck obscheck schedcheck servecheck bench benchdiff
+.PHONY: check build fmt vet lint lint-fix lint-sarif fixcheck test race perfbench faultcheck obscheck schedcheck servecheck bench benchdiff
 
-# check is the full gate: build, vet, swlint, the autofix-idempotency
-# gate, tests under the race detector, the fault-injection smoke
-# matrix, the trace-export determinism check, the 4,096-rank scheduler
-# gate, and the online-serving chaos scenario.
-check: build vet lint fixcheck race faultcheck obscheck schedcheck servecheck
+# check is the full gate: build, gofmt, vet, swlint, the
+# autofix-idempotency gate, tests under the race detector, the
+# benchmark's build and short tests, the fault-injection smoke matrix,
+# the trace-export determinism check, the 4,096-rank scheduler gate,
+# and the online-serving chaos scenario.
+check: build fmt vet lint fixcheck race perfbench faultcheck obscheck schedcheck servecheck
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file in the tree (perfbench/ included) is not
+# gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
+		echo "gofmt: these files need formatting (run gofmt -w):"; \
+		echo "$$out"; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +67,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is a separate module (perfbench/go.mod) that compiles
+# against internal/ and pins the traced scheduler and message counts
+# of its workloads, so the root module's ./... never builds or tests
+# it. -short skips the traced 4,096-rank fig6b-4k count; run
+# `cd perfbench && go test ./...` for that one.
+perfbench:
+	cd perfbench && $(GO) build -o /dev/null . && $(GO) test -short ./...
 
 # bench seeds the perf trajectory: the root paper-figure benchmarks,
 # the internal/core kernels and the internal/mpi collectives (Split at

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/sched"
-	"repro/internal/vclock"
 )
 
 type server struct {
@@ -50,15 +49,7 @@ func (s *server) DeferAcrossBarrier(c *mpi.Comm) error {
 	return c.Barrier() // flagged: s.mu held across Comm.Barrier
 }
 
-// SyncUnderLock blocks in the group's virtual-time barrier with mu
-// held.
-func (s *server) SyncUnderLock(g *vclock.Group, clk *vclock.Clock) {
-	s.mu.Lock()
-	g.Sync(clk, 0) // flagged: s.mu held across Group.Sync
-	s.mu.Unlock()
-}
-
-// ParkProtocol is the blessed vclock.syncSched shape: unlock before
+// ParkProtocol is the blessed mpi receive-loop shape: unlock before
 // every park, re-lock after, so the set is empty at the blocking
 // point.
 func (s *server) ParkProtocol(t *sched.Task) {

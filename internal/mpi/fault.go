@@ -10,14 +10,21 @@ package mpi
 // heartbeat timeout with a typed *RankFailure error instead of
 // deadlocking.
 //
-// Determinism. Whether a receive sees a real message or a failure is a
-// pure function of the virtual execution, not of goroutine scheduling:
-// a crashing rank finishes all its sends before it closes its crash
-// channel (program order plus channel happens-before), so a receiver
-// that observes the closed channel already has every packet the dead
-// rank ever sent sitting in its inbox. The receiver drains the inbox
-// first and prefers a real matching packet; only when none exists does
-// it report the failure.
+// Determinism, under either driver. A rank's computation depends only
+// on the packets it matches — identified by (src, tag), unique per
+// communicator step — their timestamps, and its own clock; never on
+// the interleaving of other ranks. The goroutine driver realizes one
+// dependency-respecting interleaving chosen by the Go runtime, the DES
+// driver another chosen by its event heap; both deliver the same
+// packets with the same timestamps through the same mailbox, so every
+// per-rank float, clock and span is identical (locked by the
+// golden-parity suite and TestDriverParity*). Failures keep the
+// property: a rank's deposits precede its failure publication in
+// program order, deposit and publication both take the world's box
+// mutex, and a receiver checks its held buffer before the failure
+// flags under that same lock. So whether a receive sees a real message
+// or a failure is a pure function of the virtual execution: a real
+// match always beats a failure report, whatever the driver.
 //
 // Mid-collective failure propagates deterministically through two
 // mechanisms. First, a live rank that discovers a failure inside a
@@ -25,9 +32,9 @@ package mpi
 // poison-marked packets, so every peer still consumes and produces
 // exactly its protocol edges (no deadlock, and the collective's tag
 // sequence stays synchronized across survivors). Second, a rank whose
-// callback returns an error closes its per-epoch abort channel after
-// the return, so any peer still waiting on it observes the abort and
-// fails over with the same root-cause failure instead of blocking.
+// callback returns an error publishes it as its abort for the epoch,
+// so any peer still waiting on it wakes and fails over with the same
+// root-cause failure instead of blocking.
 
 import (
 	"errors"
@@ -85,93 +92,60 @@ func (c *CrashStop) Is(target error) bool { return target == ErrCrashed }
 // before Run. Passing nil removes fault injection. Message transfer
 // times then honour the injector's degraded-link windows, transient
 // message faults are retried with backoff, and scheduled crashes
-// fail-stop their ranks.
+// fail-stop their ranks. Either way every rank is alive again.
 func (w *World) SetFaults(inj *fault.Injector) {
 	w.inj = inj
-	if inj == nil {
-		w.netAt = nil
-		w.crashCh = nil
-		w.crashedAt = nil
-		return
+	w.netAt = nil
+	if inj != nil {
+		w.netAt = w.net.Degraded(inj)
 	}
-	w.netAt = w.net.Degraded(inj)
-	w.crashCh = make([]chan struct{}, w.size)
-	for i := range w.crashCh {
-		w.crashCh[i] = make(chan struct{})
-	}
-	w.crashedAt = make([]float64, w.size)
+	w.box.Lock()
+	clear(w.crashed)
+	w.box.Unlock()
 }
 
 // Injector returns the installed fault injector (nil without faults).
 func (w *World) Injector() *fault.Injector { return w.inj }
 
-// crashChOf returns the crash channel of a global rank, nil when no
-// faults are installed (a nil channel never selects, which is exactly
-// the fault-free behaviour).
-func (w *World) crashChOf(g int) chan struct{} {
-	if w.crashCh == nil {
-		return nil
-	}
-	return w.crashCh[g]
-}
-
-// abortChOf returns the per-epoch abort channel of a global rank (nil
-// outside Run).
-func (w *World) abortChOf(g int) chan struct{} {
-	if w.aborted == nil {
-		return nil
-	}
-	return w.aborted[g]
-}
-
-// markCrashed records the fail-stop of a global rank. Only the owning
-// rank goroutine (or scheduler task) calls it — a rank decides its own
-// death — exactly once: crashedAt is written before the channel close
-// publishes it, so readers that observed the close see the final
-// value. Under the DES driver, peers parked in a receive on the dead
-// rank additionally get a wake-up at the heartbeat detection time; the
-// goroutine driver gets the same effect from the select on crashCh.
+// markCrashed records the fail-stop of a global rank at virtual time
+// at. Only the rank itself calls it — a rank decides its own death —
+// exactly once; peers blocked on it detect the failure at the
+// heartbeat timeout.
 func (w *World) markCrashed(g int, at float64) {
-	w.crashedAt[g] = at
-	close(w.crashCh[g])
-	if w.des != nil {
-		w.desWakeWaitersOn(g, at+w.inj.HeartbeatTimeout())
-	}
-}
-
-// isCrashed reports whether a global rank has fail-stopped.
-func (w *World) isCrashed(g int) bool {
-	if w.crashCh == nil {
-		return false
-	}
-	//swlint:ignore goroutine-purity -- one case plus default is a deterministic closed-channel probe
-	select {
-	case <-w.crashCh[g]:
-		return true
-	default:
-		return false
-	}
-}
-
-// crashFailure builds the failure report for a crashed global rank.
-// Callers must have observed the crash channel close first.
-func (w *World) crashFailure(g int) *RankFailure {
-	at := w.crashedAt[g]
-	return &RankFailure{
+	w.publishFailure(g, &RankFailure{
 		Rank:       g,
 		CG:         w.cgOf[g],
 		CrashedAt:  at,
 		DetectedAt: at + w.inj.HeartbeatTimeout(),
+	}, true)
+}
+
+// publishFailure records rank g's failure under box — its fail-stop
+// when crash is set, otherwise its callback's abort this epoch — and
+// wakes every rank blocked on g at the failure's detection time.
+func (w *World) publishFailure(g int, f *RankFailure, crash bool) {
+	w.box.Lock()
+	if crash {
+		w.crashed[g] = f
+	} else {
+		w.aborted[g] = f
 	}
+	for r, src := range w.waitSrc {
+		if src == g {
+			w.wakeLocked(r, f.DetectedAt)
+		}
+	}
+	w.box.Unlock()
 }
 
 // Failed returns the sorted global ranks that have fail-stopped so
-// far. It is meaningful between Run calls (the WaitGroup in Run orders
-// every rank's writes before the caller's reads).
+// far. It is meaningful between Run calls.
 func (w *World) Failed() []int {
+	w.box.Lock()
+	defer w.box.Unlock()
 	var out []int
-	for g := 0; g < w.size; g++ {
-		if w.isCrashed(g) {
+	for g, f := range w.crashed {
+		if f != nil {
 			out = append(out, g)
 		}
 	}
@@ -180,9 +154,11 @@ func (w *World) Failed() []int {
 
 // Alive returns the sorted global ranks that have not fail-stopped.
 func (w *World) Alive() []int {
+	w.box.Lock()
+	defer w.box.Unlock()
 	out := make([]int, 0, w.size)
-	for g := 0; g < w.size; g++ {
-		if !w.isCrashed(g) {
+	for g, f := range w.crashed {
+		if f == nil {
 			out = append(out, g)
 		}
 	}
@@ -190,13 +166,11 @@ func (w *World) Alive() []int {
 }
 
 // Failure returns the failure report of a crashed global rank, nil
-// while the rank is alive. Like Failed, it is meaningful between Run
-// calls.
+// while the rank is alive.
 func (w *World) Failure(g int) *RankFailure {
-	if !w.isCrashed(g) {
-		return nil
-	}
-	return w.crashFailure(g)
+	w.box.Lock()
+	defer w.box.Unlock()
+	return w.crashed[g]
 }
 
 // CheckFailure reports the rank's own scheduled fail-stop once its
@@ -214,8 +188,8 @@ func (c *Comm) checkSelfCrash() error {
 		return nil
 	}
 	g := c.Global()
-	if w.isCrashed(g) {
-		return &CrashStop{Rank: g, CG: w.cgOf[g], At: w.crashedAt[g]}
+	if f := w.Failure(g); f != nil {
+		return &CrashStop{Rank: g, CG: w.cgOf[g], At: f.CrashedAt}
 	}
 	at, ok := w.inj.CrashTime(w.cgOf[g])
 	if !ok || c.Clock().Now() < at {

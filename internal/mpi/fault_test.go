@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -64,42 +65,80 @@ func TestRecvFromCrashedRankReturnsTypedError(t *testing.T) {
 	}
 }
 
-// TestMessagesSentBeforeCrashAreDelivered: a message the dead rank got
-// out before its fail-stop must win over the failure report — whether
-// a receive sees data or a failure is decided by virtual times, not by
-// goroutine scheduling.
+// TestMessagesSentBeforeCrashAreDelivered: messages a rank got out
+// before it failed must win over the failure report — whether a
+// receive sees data or a failure is decided by virtual times, not by
+// goroutine or event scheduling. The sender fails right after its
+// sends, either by fail-stop (its next send crosses the crash time) or
+// by abort (its callback returns a plain error); the receiver takes
+// the packets out of order, then must see the same *RankFailure every
+// time, on both drivers. Each case repeats so the receiver is caught
+// both blocked and not yet blocked when the failure lands.
 func TestMessagesSentBeforeCrashAreDelivered(t *testing.T) {
-	w := faultyWorld(t, 1, 2, fault.Plan{
-		Crashes: []fault.Crash{{CG: 1, At: 1e-3}},
-	})
-	errs := make([]error, 2)
-	_ = w.Run(func(c *Comm) error {
-		if c.Rank() == 1 {
-			if err := c.Send(0, 7, []float64{42}, nil); err != nil {
-				return err
-			}
-			c.Clock().Advance(2e-3) // cross the crash time, then fail-stop
-			err := c.Send(0, 8, []float64{43}, nil)
-			errs[1] = err
-			return err
+	const (
+		crashAt = 1e-3
+		hb      = 1e-4
+		reps    = 200
+	)
+	errBoom := errors.New("boom")
+	sends := []int{7, 8, 9}
+	for _, d := range []Driver{DriverGoroutine, DriverSched} {
+		for _, tc := range []struct {
+			name string
+			fail func(c *Comm) error // the sender's last act
+			want RankFailure
+		}{
+			{"crash", func(c *Comm) error {
+				c.Clock().Advance(2 * crashAt) // cross the crash time, then fail-stop
+				return c.Send(0, 10, []float64{0}, nil)
+			}, RankFailure{Rank: 1, CG: 1, CrashedAt: crashAt, DetectedAt: crashAt + hb}},
+			{"abort", func(c *Comm) error {
+				return errBoom
+			}, RankFailure{Rank: 1, CG: 1, CrashedAt: 0, DetectedAt: 0}},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", d, tc.name), func(t *testing.T) {
+				for rep := 0; rep < reps; rep++ {
+					w := faultyWorld(t, 1, 2, fault.Plan{
+						Crashes:          []fault.Crash{{CG: 1, At: crashAt}},
+						HeartbeatTimeout: hb,
+					})
+					w.SetDriver(d)
+					errs := make([]error, 2)
+					runErr := w.Run(func(c *Comm) error {
+						if c.Rank() == 1 {
+							for _, tag := range sends {
+								if err := c.Send(0, tag, []float64{float64(tag)}, nil); err != nil {
+									return err
+								}
+							}
+							errs[1] = tc.fail(c)
+							return errs[1]
+						}
+						for i := range sends {
+							tag := sends[len(sends)-1-i]
+							data, _, err := c.Recv(1, tag)
+							if err != nil || len(data) != 1 || data[0] != float64(tag) {
+								return fmt.Errorf("pre-failure message %d: data=%v err=%w", tag, data, err)
+							}
+						}
+						_, _, errs[0] = c.Recv(1, 10)
+						return errs[0]
+					})
+					var rf *RankFailure
+					if !errors.As(errs[0], &rf) || *rf != tc.want {
+						t.Fatalf("rep %d: post-failure Recv error = %v (run: %v), want %+v", rep, errs[0], runErr, tc.want)
+					}
+					if tc.name == "crash" {
+						var cs *CrashStop
+						if !errors.As(errs[1], &cs) || cs.Rank != 1 || cs.At != crashAt {
+							t.Fatalf("rep %d: self-crash error = %v", rep, errs[1])
+						}
+					} else if !errors.Is(errs[1], errBoom) {
+						t.Fatalf("rep %d: sender error = %v", rep, errs[1])
+					}
+				}
+			})
 		}
-		d, _, err := c.Recv(1, 7)
-		if err != nil || len(d) != 1 || d[0] != 42 {
-			t.Errorf("pre-crash message: d=%v err=%v", d, err)
-		}
-		_, _, err = c.Recv(1, 8)
-		errs[0] = err
-		return err
-	})
-	if !errors.Is(errs[0], ErrRankFailed) {
-		t.Errorf("post-crash Recv error = %v, want ErrRankFailed", errs[0])
-	}
-	if !errors.Is(errs[1], ErrCrashed) {
-		t.Errorf("self-crash error = %v, want ErrCrashed", errs[1])
-	}
-	var cs *CrashStop
-	if !errors.As(errs[1], &cs) || cs.Rank != 1 || cs.At != 1e-3 {
-		t.Errorf("crash detail = %+v", cs)
 	}
 }
 

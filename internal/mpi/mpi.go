@@ -16,6 +16,8 @@ package mpi
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/fault"
@@ -56,13 +58,22 @@ type World struct {
 	driver Driver
 	des    *desWorld
 
-	// inbox channels exist only under the goroutine driver and are
-	// allocated lazily on its first epoch: each holds 4·size+16 packet
-	// slots, which at DES scale (thousands of ranks) would dominate
-	// memory for no benefit — the DES driver deposits into held
-	// directly.
-	inbox []chan packet
-	held  [][]packet // per-rank out-of-order buffer, owned by the rank goroutine/task
+	// The mailbox both drivers share (see fault.go for why it is
+	// deterministic). A send deposits its packet into the destination's
+	// held buffer; a receive takes its match from there or blocks until
+	// a deposit or a failure publication wakes it. waitSrc[g] and
+	// waitTag[g] name the (source, tag) rank g is blocked on, waitSrc[g]
+	// is -1 while g is not blocked. crashed[g] is rank g's fail-stop
+	// report, nil while it lives; aborted[g] is the report of g's
+	// callback error in the current epoch. Under the goroutine driver a
+	// blocked rank g waits on wake[g], whose L is &box.
+	box     sync.Mutex
+	held    [][]packet     // guarded by box
+	waitSrc []int          // guarded by box
+	waitTag []uint64       // guarded by box
+	crashed []*RankFailure // guarded by box
+	aborted []*RankFailure // guarded by box
+	wake    []sync.Cond
 
 	commIDs sync.Mutex
 	nextID  uint64 // guarded by commIDs
@@ -81,19 +92,9 @@ type World struct {
 	obsUnits []*obs.Unit
 	obsRec   *obs.Recorder
 
-	// Fault state (see fault.go). crashCh[g] is closed by rank g's own
-	// goroutine when its scheduled fail-stop manifests; crashedAt[g] is
-	// written before the close and read only by goroutines that
-	// observed the close (channel happens-before), so neither needs a
-	// mutex. aborted/abortFail are the per-epoch abort channels,
-	// reallocated at the start of every Run with the same publication
-	// discipline.
-	inj       *fault.Injector
-	netAt     *netmodel.Model // degraded-link view of net; nil without faults
-	crashCh   []chan struct{}
-	crashedAt []float64
-	aborted   []chan struct{}
-	abortFail []*RankFailure
+	// Fault injection (see fault.go).
+	inj   *fault.Injector
+	netAt *netmodel.Model // degraded-link view of net; nil without faults
 }
 
 // NewWorld creates a world of size ranks over the deployment spec.
@@ -172,72 +173,59 @@ func (w *World) RunLive(fn func(c *Comm) error) error {
 }
 
 // runMembers is the shared epoch driver of Run and RunLive: it clears
-// stale packets (messages addressed to ranks that crashed or aborted
-// in a previous epoch are dead letters), arms fresh abort channels,
-// then hands the epoch to the selected driver, which runs fn on each
-// member and publishes each member's failure to late-blocking peers.
-// Split partitions a failure left unread die with the epoch.
+// the mailbox (packets addressed to ranks that crashed or aborted in a
+// previous epoch are dead letters, and every abort is per epoch), then
+// hands the epoch to the selected driver, which runs runRank on each
+// member. Split partitions a failure left unread die with the epoch.
 func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) error {
-	for g := range w.inbox {
-		if w.inbox[g] != nil {
-		drain:
-			for {
-				//swlint:ignore goroutine-purity -- one case plus default drains dead letters whose content is discarded
-				select {
-				case <-w.inbox[g]:
-				default:
-					break drain
-				}
-			}
-		}
+	w.box.Lock()
+	for g := range w.held {
 		w.held[g] = nil
+		w.waitSrc[g] = -1
+		w.aborted[g] = nil
 	}
-	w.aborted = make([]chan struct{}, w.size)
-	for g := range w.aborted {
-		w.aborted[g] = make(chan struct{})
-	}
-	w.abortFail = make([]*RankFailure, w.size)
+	w.box.Unlock()
 	defer w.dropSplits()
-	if w.driver == DriverSched {
-		return w.runMembersSched(id, members, fn)
-	}
-	return w.runMembersGoroutine(id, members, fn)
-}
-
-// runMembersGoroutine is runMembers' epoch body under the default
-// driver: one live goroutine per member, packets through the buffered
-// inbox channels.
-func (w *World) runMembersGoroutine(id uint64, members []int, fn func(c *Comm) error) error {
-	if w.inbox[0] == nil {
-		for g := range w.inbox {
-			w.inbox[g] = make(chan packet, 4*w.size+16)
-		}
-	}
 	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, g := range members {
-		wg.Add(1)
-		go func(i, g int) {
-			defer wg.Done()
-			comm := &Comm{w: w, id: id, rank: i, size: len(members), members: members}
-			err := fn(comm)
-			errs[i] = err
-			if err != nil {
-				// Publish the failure before closing: peers blocked on
-				// this rank observe the close and adopt the root cause
-				// instead of deadlocking.
-				w.abortFail[g] = w.abortFailureFor(g, err, w.clocks[g].Now())
-				close(w.aborted[g])
-			}
-		}(i, g)
+	if w.driver == DriverSched {
+		if err := w.runMembersSched(id, members, fn, errs); err != nil {
+			return err
+		}
+	} else {
+		w.runMembersGoroutine(id, members, fn, errs)
 	}
-	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("mpi: rank %d: %w", members[i], err)
 		}
 	}
 	return nil
+}
+
+// runMembersGoroutine is runMembers' epoch body under the default
+// driver: one live goroutine per member.
+func (w *World) runMembersGoroutine(id uint64, members []int, fn func(c *Comm) error, errs []error) {
+	var wg sync.WaitGroup
+	for i := range members {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = w.runRank(id, members, i, fn)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// runRank runs fn as member i of an epoch. A callback error is
+// published as the rank's abort, so peers blocked on it adopt the root
+// cause instead of deadlocking.
+func (w *World) runRank(id uint64, members []int, i int, fn func(c *Comm) error) error {
+	g := members[i]
+	err := fn(&Comm{w: w, id: id, rank: i, size: len(members), members: members})
+	if err != nil {
+		w.publishFailure(g, w.abortFailureFor(g, err, w.clocks[g].Now()), false)
+	}
+	return err
 }
 
 // newCommID allocates a distinct communicator identity for tag
@@ -347,10 +335,8 @@ func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64) err
 // It applies the fault machinery: the sender fail-stops at this
 // boundary if its crash time has passed, transient message faults are
 // retried with the wasted wire time and a doubling backoff charged to
-// the sender's clock, and delivery to a crashed or aborted peer is
-// dropped (dead letters would otherwise fill the peer's inbox and
-// block the sender forever). A non-nil fail marks the packet as
-// poison.
+// the sender's clock, and deposit drops a packet bound for a crashed
+// or aborted peer. A non-nil fail marks the packet as poison.
 func (c *Comm) sendShared(dst int, tag uint64, data []float64, ints []int64, bytes int, fail *RankFailure) error {
 	if err := c.checkSelfCrash(); err != nil {
 		return err
@@ -388,17 +374,36 @@ func (c *Comm) sendShared(dst int, tag uint64, data []float64, ints []int64, byt
 		}
 	}
 	p.time = c.Clock().Now() + tt
-	if c.w.des != nil {
-		c.w.desDeliver(dstG, p)
-		return nil
-	}
-	//swlint:ignore goroutine-purity -- the arms are equivalent: a packet bound for a crashed or aborted rank is a dead letter either way
-	select {
-	case c.w.inbox[dstG] <- p:
-	case <-c.w.crashChOf(dstG):
-	case <-c.w.abortChOf(dstG):
-	}
+	c.w.deposit(dstG, p)
 	return nil
+}
+
+// deposit is the final hand-off of every send. Under box it drops a
+// dead letter (the destination crashed or aborted), otherwise appends
+// p to the destination's held buffer and wakes the destination if it
+// waits for exactly this (src, tag).
+func (w *World) deposit(dstG int, p packet) {
+	w.box.Lock()
+	if w.crashed[dstG] == nil && w.aborted[dstG] == nil {
+		w.held[dstG] = append(w.held[dstG], p)
+		if w.waitSrc[dstG] == p.src && w.waitTag[dstG] == p.tag {
+			w.wakeLocked(dstG, p.time)
+		}
+	}
+	w.box.Unlock()
+}
+
+// wakeLocked wakes rank g, blocked in recvFull, for an event at virtual
+// time at; the caller holds box. The DES driver schedules the wake-up
+// at max(at, g's clock), where g's receive completes, so the event
+// heap's order follows virtual time. The goroutine driver only
+// signals: g owns its clock, and no other rank may read it.
+func (w *World) wakeLocked(g int, at float64) {
+	if des := w.des; des != nil {
+		des.tasks[g].Wake(math.Max(at, w.clocks[g].Now()))
+		return
+	}
+	w.wake[g].Signal()
 }
 
 // transferTime routes through the degraded-link model when faults are
@@ -428,10 +433,11 @@ func (c *Comm) recv(src int, tag uint64) ([]float64, []int64, error) {
 
 // recvFull is the failure-aware receive. The hard error (last return)
 // is only ever the caller's own fail-stop; a peer's failure comes back
-// as a *RankFailure with nil payloads. See the determinism argument at
-// the top of fault.go: the inbox drain on crash/abort wake-up
-// guarantees a real matching packet always wins over a failure report,
-// independent of goroutine scheduling.
+// as a *RankFailure with nil payloads. Under box it takes a held match,
+// else reports the source's crash or abort, else records its wait and
+// blocks until a deposit or a failure publication wakes it. Checking
+// held before the failure flags is what makes a real match always win
+// over a failure report (see the top of fault.go).
 func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, error) {
 	if err := c.checkSelfCrash(); err != nil {
 		return nil, nil, nil, err
@@ -439,75 +445,36 @@ func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, 
 	if src < 0 || src >= c.size {
 		return nil, nil, nil, fmt.Errorf("mpi: recv source %d out of range [0,%d)", src, c.size)
 	}
-	srcG := c.members[src]
-	me := c.Global()
-	// First, scan messages held back earlier.
-	if p, ok := c.takeHeld(me, srcG, tag); ok {
-		return c.deliver(p)
-	}
-	if c.w.des != nil {
-		return c.desRecvWait(me, srcG, tag)
-	}
+	w, srcG, me := c.w, c.members[src], c.Global()
+	w.box.Lock()
 	for {
-		//swlint:ignore goroutine-purity -- the failure arms drain and prefer buffered matches (drainAndTake), so arm choice never changes the delivered packet
-		select {
-		case p := <-c.w.inbox[me]:
+		for i, p := range w.held[me] {
 			if p.src == srcG && p.tag == tag {
-				return c.deliver(p)
+				w.held[me] = slices.Delete(w.held[me], i, i+1)
+				w.box.Unlock()
+				c.Clock().AdvanceTo(p.time)
+				// A poison packet carries nil payloads.
+				return p.data, p.ints, p.fail, nil
 			}
-			c.w.held[me] = append(c.w.held[me], p)
-		case <-c.w.crashChOf(srcG):
-			if p, ok := c.drainAndTake(me, srcG, tag); ok {
-				return c.deliver(p)
-			}
-			fail := c.w.crashFailure(srcG)
+		}
+		fail := w.crashed[srcG]
+		if fail == nil {
+			fail = w.aborted[srcG]
+		}
+		if fail != nil {
+			w.box.Unlock()
 			c.Clock().AdvanceTo(fail.DetectedAt)
 			return nil, nil, fail, nil
-		case <-c.w.abortChOf(srcG):
-			if p, ok := c.drainAndTake(me, srcG, tag); ok {
-				return c.deliver(p)
-			}
-			fail := c.w.abortFail[srcG]
-			c.Clock().AdvanceTo(fail.DetectedAt)
-			return nil, nil, fail, nil
 		}
-	}
-}
-
-// deliver reconciles the clock with a matched packet and unwraps it.
-func (c *Comm) deliver(p packet) ([]float64, []int64, *RankFailure, error) {
-	c.Clock().AdvanceTo(p.time)
-	if p.fail != nil {
-		return nil, nil, p.fail, nil
-	}
-	return p.data, p.ints, nil, nil
-}
-
-// takeHeld removes and returns the held packet matching (src, tag).
-func (c *Comm) takeHeld(me, srcG int, tag uint64) (packet, bool) {
-	for i, h := range c.w.held[me] {
-		if h.src == srcG && h.tag == tag {
-			c.w.held[me] = append(c.w.held[me][:i], c.w.held[me][i+1:]...)
-			return h, true
+		w.waitSrc[me], w.waitTag[me] = srcG, tag
+		if des := w.des; des != nil {
+			w.box.Unlock()
+			des.tasks[me].Park()
+			w.box.Lock()
+		} else {
+			w.wake[me].Wait()
 		}
-	}
-	return packet{}, false
-}
-
-// drainAndTake moves every already-delivered packet from the inbox to
-// the held buffer, then looks for a match: when a peer's crash or
-// abort channel closes, every packet it ever sent is already buffered
-// (channel happens-before), so preferring a buffered match keeps the
-// real-message-versus-failure decision deterministic.
-func (c *Comm) drainAndTake(me, srcG int, tag uint64) (packet, bool) {
-	for {
-		//swlint:ignore goroutine-purity -- one case plus default deterministically empties the inbox
-		select {
-		case p := <-c.w.inbox[me]:
-			c.w.held[me] = append(c.w.held[me], p)
-		default:
-			return c.takeHeld(me, srcG, tag)
-		}
+		w.waitSrc[me] = -1
 	}
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/netmodel"
@@ -56,17 +57,17 @@ func NewWorldPlaced(spec *machine.Spec, stats *trace.Stats, size int, place Plac
 		cgOf[r] = cg
 	}
 	w := &World{
-		spec:  spec,
-		net:   netmodel.MustNew(spec),
-		stats: stats,
-		size:  size,
-		cgOf:  cgOf,
-		// The channels themselves are allocated lazily by the goroutine
-		// driver's first epoch; the DES driver never needs them, and at
-		// its world sizes (thousands of ranks) the 4·size+16 buffers
-		// would cost gigabytes.
-		inbox: make([]chan packet, size),
-		held:  make([][]packet, size),
+		spec:    spec,
+		net:     netmodel.MustNew(spec),
+		stats:   stats,
+		size:    size,
+		cgOf:    cgOf,
+		held:    make([][]packet, size),
+		waitSrc: make([]int, size),
+		waitTag: make([]uint64, size),
+		crashed: make([]*RankFailure, size),
+		aborted: make([]*RankFailure, size),
+		wake:    make([]sync.Cond, size),
 		clocks: func() []*vclock.Clock {
 			cs := make([]*vclock.Clock, size)
 			for i := range cs {
@@ -74,6 +75,9 @@ func NewWorldPlaced(spec *machine.Spec, stats *trace.Stats, size int, place Plac
 			}
 			return cs
 		}(),
+	}
+	for g := range w.wake {
+		w.wake[g].L = &w.box
 	}
 	return w, nil
 }

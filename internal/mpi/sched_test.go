@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -283,32 +284,6 @@ func TestDriverParityTransientFaults(t *testing.T) {
 	assertDigestsEqual(t, g, s)
 }
 
-// TestRunSchedForcesDESDriver: RunSched must run under the DES engine
-// regardless of the configured driver and restore the selection.
-func TestRunSchedForcesDESDriver(t *testing.T) {
-	w := world(t, 1, 4)
-	if w.Driver() != DriverGoroutine {
-		t.Fatalf("default driver = %v", w.Driver())
-	}
-	var inSched bool
-	err := w.RunSched(func(c *Comm) error {
-		if c.Rank() == 0 {
-			inSched = w.des != nil
-		}
-		data := []float64{1}
-		return c.AllReduceSum(data, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inSched {
-		t.Fatal("RunSched did not engage the DES driver")
-	}
-	if w.Driver() != DriverGoroutine {
-		t.Fatalf("driver not restored, now %v", w.Driver())
-	}
-}
-
 // TestSchedDeadlockDiagnostic: a protocol bug that would hang the
 // goroutine driver forever (a receive nobody answers) surfaces as the
 // scheduler's deadlock diagnostic under the DES driver.
@@ -365,6 +340,56 @@ func TestSchedLargeWorld(t *testing.T) {
 	}
 	if w.MaxTime() <= 0 {
 		t.Fatal("no virtual time elapsed")
+	}
+}
+
+// TestGoroutineLargeWorldMemory: the goroutine driver's mailbox is
+// O(P), so a 4,096-rank epoch of Barrier, AllReduceSum and Split
+// allocates a few megabytes. A per-rank queue sized for every peer
+// would need gigabytes at this size.
+func TestGoroutineLargeWorldMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4,096-rank world in -short mode")
+	}
+	const size = 4096
+	const budget = 64 << 20
+	w, err := NewWorld(machine.MustSpec(size/4), trace.NewStats(), size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sums := make([]float64, size)
+	sizes := make([]int, size)
+	err = w.Run(func(c *Comm) error {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		data := []float64{1}
+		if err := c.AllReduceSum(data, nil); err != nil {
+			return err
+		}
+		sums[c.Rank()] = data[0]
+		sub, err := c.Split(c.Rank()%32, c.Rank())
+		if err != nil {
+			return err
+		}
+		sizes[c.Rank()] = sub.Size()
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range sums {
+		if sums[r] != size || sizes[r] != size/32 {
+			t.Fatalf("rank %d: allreduce %v, split size %d", r, sums[r], sizes[r])
+		}
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("4,096-rank goroutine epoch allocated %.1f MB", float64(alloc)/(1<<20))
+	if alloc > budget {
+		t.Errorf("4,096-rank goroutine epoch allocated %d MB, want < %d MB", alloc>>20, budget>>20)
 	}
 }
 

@@ -2,7 +2,6 @@ package vclock
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -105,95 +104,6 @@ func TestSyncAllPanicsOnNegativeExtra(t *testing.T) {
 		}
 	}()
 	SyncAll(-1, New())
-}
-
-func TestNewGroupPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewGroup(0) did not panic")
-		}
-	}()
-	NewGroup(0)
-}
-
-func TestGroupSingleParticipant(t *testing.T) {
-	g := NewGroup(1)
-	c := New()
-	c.Advance(3)
-	if got := g.Sync(c, 2); got != 5 {
-		t.Errorf("Sync = %g, want 5", got)
-	}
-	if c.Now() != 5 {
-		t.Errorf("clock = %g, want 5", c.Now())
-	}
-}
-
-func TestGroupSynchronizesToMax(t *testing.T) {
-	const n = 8
-	g := NewGroup(n)
-	if g.Size() != n {
-		t.Fatalf("Size() = %d, want %d", g.Size(), n)
-	}
-	clocks := make([]*Clock, n)
-	var wg sync.WaitGroup
-	results := make([]float64, n)
-	for i := range clocks {
-		clocks[i] = New()
-		clocks[i].Advance(float64(i)) // max entry time = 7
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = g.Sync(clocks[i], 0.5)
-		}(i)
-	}
-	wg.Wait()
-	for i, r := range results {
-		if r != 7.5 {
-			t.Errorf("participant %d released at %g, want 7.5", i, r)
-		}
-		if clocks[i].Now() != 7.5 {
-			t.Errorf("participant %d clock %g, want 7.5", i, clocks[i].Now())
-		}
-	}
-}
-
-func TestGroupReuseRounds(t *testing.T) {
-	// The same participant set reuses the group across many rounds,
-	// including after clock resets; stale release times must not leak.
-	const n = 4
-	const rounds = 50
-	g := NewGroup(n)
-	var wg sync.WaitGroup
-	errs := make(chan string, n*rounds)
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			c := New()
-			for r := 0; r < rounds; r++ {
-				c.Reset()
-				c.Advance(float64(p + 1)) // max entry = n
-				got := g.Sync(c, 1)
-				if got != float64(n)+1 {
-					errs <- "round released at wrong time"
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
-	}
-}
-
-func TestGroupSyncPanicsOnNegativeExtra(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Sync(-1) did not panic")
-		}
-	}()
-	NewGroup(1).Sync(New(), -1)
 }
 
 func TestSyncAllProperty(t *testing.T) {
