@@ -107,20 +107,26 @@ benchdiff:
 # with checkpoint restart, crash with dropped shards, pure transient
 # noise, a degraded fabric with a straggler, a whole-node loss, a
 # Level-3 crash (checkpoint gather + re-striped restore), and faults
-# under automatic level selection. Every scenario is deterministic
-# (docs/FAULT_TOLERANCE.md) and must finish with exit code 0. Later
+# under automatic level selection. Every scenario must finish with exit
+# code 0, and their stdout, all virtual time and so deterministic
+# (docs/FAULT_TOLERANCE.md), must equal FAULTGOLDEN byte for byte. Later
 # flags win, so the Level-3/auto runs just override FAULTBASE's level.
+# After an intended change to the output, run make faultcheck and then
+#   cp .faultcheck.out cmd/swkmeans/testdata/faultcheck.golden
 FAULTBASE = $(GO) run ./cmd/swkmeans -dataset gauss -n 800 -d 8 -components 4 -level 1 -k 4 -nodes 2 -iters 10
+FAULTGOLDEN = cmd/swkmeans/testdata/faultcheck.golden
 
 faultcheck:
-	$(FAULTBASE) -faults "seed=7; crash=3@2e-5; msg=0.01; retries=32" -ckpt 2
-	$(FAULTBASE) -faults "crash=1@2e-5" -ckpt 2 -droplost
-	$(FAULTBASE) -faults "seed=11; dma=0.05; msg=0.05; retries=64"
-	$(FAULTBASE) -faults "link=*@0:1x4; slow=2x1.5"
-	$(FAULTBASE) -faults "crashnode=1@3e-5; hb=1e-4" -ckpt 3
-	$(FAULTBASE) -level 3 -mprime 4 -faults "seed=5; crash=5@2e-5; msg=0.01; retries=32" -ckpt 2
-	$(FAULTBASE) -level 3 -mprime 2 -faults "crash=3@2e-5" -ckpt 2 -droplost
-	$(FAULTBASE) -level 0 -faults "seed=9; crash=2@2e-5; dma=0.02; retries=32" -ckpt 2
+	@rm -f .faultcheck.out
+	$(FAULTBASE) -faults "seed=7; crash=3@2e-5; msg=0.01; retries=32" -ckpt 2 >> .faultcheck.out
+	$(FAULTBASE) -faults "crash=1@2e-5" -ckpt 2 -droplost >> .faultcheck.out
+	$(FAULTBASE) -faults "seed=11; dma=0.05; msg=0.05; retries=64" >> .faultcheck.out
+	$(FAULTBASE) -faults "link=*@0:1x4; slow=2x1.5" >> .faultcheck.out
+	$(FAULTBASE) -faults "crashnode=1@3e-5; hb=1e-4" -ckpt 3 >> .faultcheck.out
+	$(FAULTBASE) -level 3 -mprime 4 -faults "seed=5; crash=5@2e-5; msg=0.01; retries=32" -ckpt 2 >> .faultcheck.out
+	$(FAULTBASE) -level 3 -mprime 2 -faults "crash=3@2e-5" -ckpt 2 -droplost >> .faultcheck.out
+	$(FAULTBASE) -level 0 -faults "seed=9; crash=2@2e-5; dma=0.02; retries=32" -ckpt 2 >> .faultcheck.out
+	diff -u $(FAULTGOLDEN) .faultcheck.out
 
 # obscheck verifies the observability determinism contract end to end:
 # the same seeded scenario run twice exports byte-identical Chrome

@@ -126,7 +126,7 @@ func (level3Engine) setup(work *mpi.Comm, env *epochEnv, cents []float64) (engin
 	if err != nil {
 		return nil, err
 	}
-	posComm, err := work.Split(pos+groups, group) // offset colors past group colors
+	posComm, err := work.Split(pos, group)
 	if err != nil {
 		return nil, err
 	}

@@ -7,19 +7,22 @@ import (
 )
 
 // This file is the package's lightweight dataflow engine: a
-// function-level, intraprocedural value-flow pass over the typed AST
-// that the semantic rules (map-order, collective-match,
-// goroutine-purity) share. The model is deliberately simple and its
-// limits are documented in docs/STATIC_ANALYSIS.md:
+// function-level value-flow pass over the typed AST that the semantic
+// rules (map-order, collective-match, goroutine-purity) share. It
+// answers where a value came from; docs/STATIC_ANALYSIS.md ("The
+// dataflow engine") documents the model and its limits:
 //
 //   - flow is tracked per local variable within one function (params
 //     and range/assign definitions), with no alias analysis — a value
 //     stored through a pointer or into a container loses its origin;
-//   - ordering questions ("is this slice sorted after the loop?") are
-//     answered positionally within the function body, not over a real
-//     control-flow graph;
-//   - calls are opaque: a helper's effects are not propagated into its
-//     callers (each function is analyzed against its own body only).
+//   - ordering and reachability questions ("is this slice sorted after
+//     the loop?") are not answered here but on the function's
+//     control-flow graph (cfg.go, sortedOnAllPaths): every path from
+//     the collection site to the exit must pass a total-order sort;
+//   - calls are opaque to derivesFrom, while derivesVia consults a call
+//     oracle built from the interprocedural summaries (summary.go), so
+//     taint crosses a call when the callee returns a source or passes
+//     an argument through to its result.
 //
 // Those limits trade missed corner cases for zero false dataflow: what
 // the pass does report derives from definitions it actually saw.

@@ -11,9 +11,10 @@ package mpi
 // deadlocking.
 //
 // Determinism, under either driver. A rank's computation depends only
-// on the packets it matches — identified by (src, tag), unique per
-// communicator step — their timestamps, and its own clock; never on
-// the interleaving of other ranks. The goroutine driver realizes one
+// on the packets it matches — identified by (src, group, step), where
+// the group is the communicator's one shared identity object — their
+// timestamps, and its own clock; never on the interleaving of other
+// ranks. The goroutine driver realizes one
 // dependency-respecting interleaving chosen by the Go runtime, the DES
 // driver another chosen by its event heap; both deliver the same
 // packets with the same timestamps through the same mailbox, so every
@@ -257,7 +258,7 @@ func (st *opState) err() error {
 // copy of the payload, a poisoned rank transmits the failure marker on
 // the same edge. Steps whose sender may write its buffers right after
 // sending (public Reduce, gather, scatter, the ring) use it.
-func (c *Comm) opSend(st *opState, dst int, tag uint64, data []float64, ints []int64) error {
+func (c *Comm) opSend(st *opState, dst int, tag msgTag, data []float64, ints []int64) error {
 	if st.fail != nil {
 		return c.sendShared(dst, tag, nil, nil, 0, st.fail)
 	}
@@ -268,7 +269,7 @@ func (c *Comm) opSend(st *opState, dst int, tag uint64, data []float64, ints []i
 // payload itself, charged bytes. Broadcast hops and the allreduce
 // reduce phases use it: their senders leave the payload untouched
 // until every receiver is done with it.
-func (c *Comm) opSendShared(st *opState, dst int, tag uint64, data []float64, ints []int64, bytes int) error {
+func (c *Comm) opSendShared(st *opState, dst int, tag msgTag, data []float64, ints []int64, bytes int) error {
 	if st.fail != nil {
 		return c.sendShared(dst, tag, nil, nil, 0, st.fail)
 	}
@@ -278,7 +279,7 @@ func (c *Comm) opSendShared(st *opState, dst int, tag uint64, data []float64, in
 // opRecv is the poison-aware protocol receive: poison packets and
 // detected crashes fold into st (returning nil payloads) while hard
 // errors — the caller's own crash — propagate.
-func (c *Comm) opRecv(st *opState, src int, tag uint64) ([]float64, []int64, error) {
+func (c *Comm) opRecv(st *opState, src int, tag msgTag) ([]float64, []int64, error) {
 	d, i, fail, err := c.recvFull(src, tag)
 	if err != nil {
 		return nil, nil, err

@@ -37,7 +37,7 @@ import (
 // gather, scatter, the ring's segments) carries a private copy.
 type packet struct {
 	src  int // global rank
-	tag  uint64
+	tag  msgTag
 	time float64 // sender clock at send completion
 	data []float64
 	ints []int64
@@ -70,18 +70,13 @@ type World struct {
 	box     sync.Mutex
 	held    [][]packet     // guarded by box
 	waitSrc []int          // guarded by box
-	waitTag []uint64       // guarded by box
+	waitTag []msgTag       // guarded by box
 	crashed []*RankFailure // guarded by box
 	aborted []*RankFailure // guarded by box
 	wake    []sync.Cond
 
-	commIDs sync.Mutex
-	nextID  uint64 // guarded by commIDs
-
-	// splits holds the partitions Split computes on a parent's rank 0
-	// until every member has read its entry (see split.go).
-	splitMu sync.Mutex
-	splits  map[splitKey]*splitTable // guarded by splitMu
+	keyMu   sync.Mutex
+	nextKey uint64 // guarded by keyMu
 
 	clocks []*vclock.Clock
 
@@ -156,7 +151,7 @@ func (w *World) Run(fn func(c *Comm) error) error {
 	for i := range members {
 		members[i] = i
 	}
-	return w.runMembers(0, members, fn)
+	return w.runMembers(&group{members: members}, fn)
 }
 
 // RunLive executes fn on every surviving rank over a communicator of
@@ -169,34 +164,33 @@ func (w *World) RunLive(fn func(c *Comm) error) error {
 	if len(members) == 0 {
 		return fmt.Errorf("mpi: no surviving ranks: %w", ErrRankFailed)
 	}
-	return w.runMembers(w.newCommID(), members, fn)
+	return w.runMembers(&group{members: members, key: w.newKey()}, fn)
 }
 
 // runMembers is the shared epoch driver of Run and RunLive: it clears
 // the mailbox (packets addressed to ranks that crashed or aborted in a
 // previous epoch are dead letters, and every abort is per epoch), then
 // hands the epoch to the selected driver, which runs runRank on each
-// member. Split partitions a failure left unread die with the epoch.
-func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) error {
+// member of the epoch's communicator g.
+func (w *World) runMembers(g *group, fn func(c *Comm) error) error {
 	w.box.Lock()
-	for g := range w.held {
-		w.held[g] = nil
-		w.waitSrc[g] = -1
-		w.aborted[g] = nil
+	for r := range w.held {
+		w.held[r] = nil
+		w.waitSrc[r] = -1
+		w.aborted[r] = nil
 	}
 	w.box.Unlock()
-	defer w.dropSplits()
-	errs := make([]error, len(members))
+	errs := make([]error, len(g.members))
 	if w.driver == DriverSched {
-		if err := w.runMembersSched(id, members, fn, errs); err != nil {
+		if err := w.runMembersSched(g, fn, errs); err != nil {
 			return err
 		}
 	} else {
-		w.runMembersGoroutine(id, members, fn, errs)
+		w.runMembersGoroutine(g, fn, errs)
 	}
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("mpi: rank %d: %w", members[i], err)
+			return fmt.Errorf("mpi: rank %d: %w", g.members[i], err)
 		}
 	}
 	return nil
@@ -204,49 +198,79 @@ func (w *World) runMembers(id uint64, members []int, fn func(c *Comm) error) err
 
 // runMembersGoroutine is runMembers' epoch body under the default
 // driver: one live goroutine per member.
-func (w *World) runMembersGoroutine(id uint64, members []int, fn func(c *Comm) error, errs []error) {
+func (w *World) runMembersGoroutine(g *group, fn func(c *Comm) error, errs []error) {
 	var wg sync.WaitGroup
-	for i := range members {
+	for i := range g.members {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = w.runRank(id, members, i, fn)
+			errs[i] = w.runRank(g, i, fn)
 		}(i)
 	}
 	wg.Wait()
 }
 
-// runRank runs fn as member i of an epoch. A callback error is
-// published as the rank's abort, so peers blocked on it adopt the root
-// cause instead of deadlocking.
-func (w *World) runRank(id uint64, members []int, i int, fn func(c *Comm) error) error {
-	g := members[i]
-	err := fn(&Comm{w: w, id: id, rank: i, size: len(members), members: members})
+// runRank runs fn as member i of an epoch's communicator g. A callback
+// error is published as the rank's abort, so peers blocked on it adopt
+// the root cause instead of deadlocking.
+func (w *World) runRank(g *group, i int, fn func(c *Comm) error) error {
+	me := g.members[i]
+	err := fn(&Comm{w: w, g: g, rank: i, size: len(g.members)})
 	if err != nil {
-		w.publishFailure(g, w.abortFailureFor(g, err, w.clocks[g].Now()), false)
+		w.publishFailure(me, w.abortFailureFor(me, err, w.clocks[me].Now()), false)
 	}
 	return err
 }
 
-// newCommID allocates a distinct communicator identity for tag
-// namespacing. The world communicator is ID 0.
-func (w *World) newCommID() uint64 {
-	w.commIDs.Lock()
-	defer w.commIDs.Unlock()
-	w.nextID++
-	return w.nextID
+// newKey allocates the fault key of a RunLive epoch's communicator;
+// Run's world communicator has key 0.
+func (w *World) newKey() uint64 {
+	w.keyMu.Lock()
+	defer w.keyMu.Unlock()
+	w.nextKey++
+	return w.nextKey
 }
 
 // Comm is one rank's handle on a communicator. The world communicator
 // is passed to Run's callback; sub-communicators come from Split.
-// A Comm is confined to its rank's goroutine.
+// A Comm is confined to its rank's goroutine; the group it names is
+// shared by every member's Comm.
 type Comm struct {
-	w       *World
-	id      uint64
-	rank    int   // rank within this communicator
-	size    int   // communicator size
-	members []int // communicator rank -> global rank
-	seq     uint64
+	w    *World
+	g    *group
+	rank int // rank within this communicator
+	size int // communicator size
+	seq  uint64
+}
+
+// group is a communicator's identity: one object per communicator,
+// shared by every member's Comm, so a packet tagged with it cannot be
+// matched on any other communicator. Run and RunLive allocate one per
+// epoch, and a Split's rank 0 one per color.
+type group struct {
+	members []int       // communicator rank -> global rank
+	key     uint64      // salts the fault rolls of the group's packets (see faultKey)
+	split   *splitTable // the latest Split's partition, left here by rank 0
+}
+
+// msgTag names one step of a communicator's protocol: seq is the step
+// counter of collective operations, or 1<<63 | t for user tag t.
+type msgTag struct {
+	g   *group
+	seq uint64
+}
+
+// faultKey is the tag's input to fault.MsgFault: g.key<<20 | seq mod
+// 2²⁰ for a collective step and seq itself for a user tag. It only
+// salts the random rolls, so two tags with equal keys correlate two
+// draws and nothing else; packets never match on it. Changing the
+// formula moves every seeded fault plan's rolls, and with them the
+// pinned fault outputs (TestSplitChargesPinned, make faultcheck).
+func (t msgTag) faultKey() uint64 {
+	if t.seq&(1<<63) != 0 {
+		return t.seq
+	}
+	return t.g.key<<20 | t.seq&(1<<20-1)
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -256,7 +280,7 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.size }
 
 // Global returns the caller's global (world) rank.
-func (c *Comm) Global() int { return c.members[c.rank] }
+func (c *Comm) Global() int { return c.g.members[c.rank] }
 
 // CG returns the global core-group index this rank is placed on.
 func (c *Comm) CG() int { return c.w.cgOf[c.Global()] }
@@ -301,12 +325,10 @@ func (c *Comm) obsEnd(u *obs.Unit, m obs.Mark, kind string, bytes int64) {
 // nextTag mints the tag for the next collective operation (or the
 // next step of a multi-step collective). All ranks of a communicator
 // execute the same sequence of collective steps, so their sequence
-// counters agree. Tags are unique per (communicator, step): the
-// communicator identity occupies the bits above the 20-bit step
-// counter and user tags live in a separate namespace (bit 63).
-func (c *Comm) nextTag() uint64 {
+// counters agree, and the tag is unique per (communicator, step).
+func (c *Comm) nextTag() msgTag {
 	c.seq++
-	return c.id<<20 | (c.seq & (1<<20 - 1))
+	return msgTag{c.g, c.seq}
 }
 
 // sendPacket transmits data and ints to communicator rank dst under
@@ -314,7 +336,7 @@ func (c *Comm) nextTag() uint64 {
 // as soon as sendPacket returns; sendShared does the rest. Collectives
 // whose protocol keeps the sender's buffer untouched until the
 // receiver is done with it send through sendShared instead.
-func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64) error {
+func (c *Comm) sendPacket(dst int, tag msgTag, data []float64, ints []int64) error {
 	// Fresh variables for the copies keep the caller's buffers from
 	// escaping to the heap.
 	var pd []float64
@@ -337,7 +359,7 @@ func (c *Comm) sendPacket(dst int, tag uint64, data []float64, ints []int64) err
 // retried with the wasted wire time and a doubling backoff charged to
 // the sender's clock, and deposit drops a packet bound for a crashed
 // or aborted peer. A non-nil fail marks the packet as poison.
-func (c *Comm) sendShared(dst int, tag uint64, data []float64, ints []int64, bytes int, fail *RankFailure) error {
+func (c *Comm) sendShared(dst int, tag msgTag, data []float64, ints []int64, bytes int, fail *RankFailure) error {
 	if err := c.checkSelfCrash(); err != nil {
 		return err
 	}
@@ -347,7 +369,7 @@ func (c *Comm) sendShared(dst int, tag uint64, data []float64, ints []int64, byt
 	if dst == c.rank {
 		return fmt.Errorf("mpi: rank %d sending to itself", c.rank)
 	}
-	srcG, dstG := c.Global(), c.members[dst]
+	srcG, dstG := c.Global(), c.g.members[dst]
 	c.w.stats.AddNet(int64(bytes))
 	// The sender is busy for the injection duration; the wire time is
 	// charged on the receive side through the timestamp.
@@ -358,7 +380,7 @@ func (c *Comm) sendShared(dst int, tag uint64, data []float64, ints []int64, byt
 		return err
 	}
 	if inj := c.w.inj; inj != nil {
-		for attempt := 0; inj.MsgFault(srcCG, dstCG, tag, c.Clock().Now(), attempt); attempt++ {
+		for attempt := 0; inj.MsgFault(srcCG, dstCG, tag.faultKey(), c.Clock().Now(), attempt); attempt++ {
 			if attempt >= inj.MaxRetries() {
 				// A rank that cannot get a message through is dead to
 				// its peers: fail-stop so the heartbeat detector takes
@@ -366,7 +388,7 @@ func (c *Comm) sendShared(dst int, tag uint64, data []float64, ints []int64, byt
 				at := c.Clock().Now()
 				c.w.markCrashed(srcG, at)
 				return fmt.Errorf("mpi: rank %d message to rank %d (tag %#x) exhausted %d retries at t=%.9fs: %w",
-					srcG, dstG, tag, inj.MaxRetries(), at, fault.ErrLinkFailed)
+					srcG, dstG, tag.faultKey(), inj.MaxRetries(), at, fault.ErrLinkFailed)
 			}
 			cost := tt + inj.Backoff(attempt+1)
 			c.w.stats.AddNetRetry(1, cost)
@@ -420,7 +442,7 @@ func (w *World) transferTime(srcCG, dstCG, bytes int, at float64) (float64, erro
 // Failures (poison packets, crashed or aborted peers) surface as hard
 // errors here; collective internals use recvFull to fold them into an
 // opState instead.
-func (c *Comm) recv(src int, tag uint64) ([]float64, []int64, error) {
+func (c *Comm) recv(src int, tag msgTag) ([]float64, []int64, error) {
 	d, i, fail, err := c.recvFull(src, tag)
 	if err != nil {
 		return nil, nil, err
@@ -438,14 +460,14 @@ func (c *Comm) recv(src int, tag uint64) ([]float64, []int64, error) {
 // blocks until a deposit or a failure publication wakes it. Checking
 // held before the failure flags is what makes a real match always win
 // over a failure report (see the top of fault.go).
-func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, error) {
+func (c *Comm) recvFull(src int, tag msgTag) ([]float64, []int64, *RankFailure, error) {
 	if err := c.checkSelfCrash(); err != nil {
 		return nil, nil, nil, err
 	}
 	if src < 0 || src >= c.size {
 		return nil, nil, nil, fmt.Errorf("mpi: recv source %d out of range [0,%d)", src, c.size)
 	}
-	w, srcG, me := c.w, c.members[src], c.Global()
+	w, srcG, me := c.w, c.g.members[src], c.Global()
 	w.box.Lock()
 	for {
 		for i, p := range w.held[me] {
@@ -479,27 +501,32 @@ func (c *Comm) recvFull(src int, tag uint64) ([]float64, []int64, *RankFailure, 
 }
 
 // Send transmits data and ints to communicator rank dst as a
-// point-to-point message with a caller-chosen small tag.
-func (c *Comm) Send(dst int, tag int, data []float64, ints []int64) error {
-	if tag < 0 || tag >= 1<<20 {
-		return fmt.Errorf("mpi: user tag %d out of range", tag)
+// point-to-point message with a caller-chosen small tag t. It matches
+// only a Recv of t on the same communicator.
+func (c *Comm) Send(dst int, t int, data []float64, ints []int64) error {
+	if t < 0 || t >= 1<<20 {
+		return fmt.Errorf("mpi: user tag %d out of range", t)
 	}
 	u, m := c.obsBegin()
-	err := c.sendPacket(dst, uint64(tag)|1<<63, data, ints)
+	err := c.sendPacket(dst, c.userTag(t), data, ints)
 	c.obsEnd(u, m, "mpi:send", int64((len(data)+len(ints))*ldm.ElemBytes))
 	return err
 }
 
 // Recv receives the matching point-to-point message from src.
-func (c *Comm) Recv(src int, tag int) ([]float64, []int64, error) {
-	if tag < 0 || tag >= 1<<20 {
-		return nil, nil, fmt.Errorf("mpi: user tag %d out of range", tag)
+func (c *Comm) Recv(src int, t int) ([]float64, []int64, error) {
+	if t < 0 || t >= 1<<20 {
+		return nil, nil, fmt.Errorf("mpi: user tag %d out of range", t)
 	}
 	u, m := c.obsBegin()
-	data, ints, err := c.recv(src, uint64(tag)|1<<63)
+	data, ints, err := c.recv(src, c.userTag(t))
 	c.obsEnd(u, m, "mpi:recv", int64((len(data)+len(ints))*ldm.ElemBytes))
 	return data, ints, err
 }
+
+// userTag is user tag t's tag on this communicator; bit 63 keeps it
+// apart from the collective steps.
+func (c *Comm) userTag(t int) msgTag { return msgTag{c.g, 1<<63 | uint64(t)} }
 
 // Barrier blocks until every rank of the communicator has entered,
 // using the dissemination algorithm (works for any size, log2 rounds).

@@ -64,7 +64,7 @@ func NewWorldPlaced(spec *machine.Spec, stats *trace.Stats, size int, place Plac
 		cgOf:    cgOf,
 		held:    make([][]packet, size),
 		waitSrc: make([]int, size),
-		waitTag: make([]uint64, size),
+		waitTag: make([]msgTag, size),
 		crashed: make([]*RankFailure, size),
 		aborted: make([]*RankFailure, size),
 		wake:    make([]sync.Cond, size),

@@ -61,14 +61,14 @@ type desWorld struct {
 // runMembersSched is runMembers' epoch body under the DES driver: the
 // members become scheduler tasks whose initial events fire at their
 // current clocks, and one Sim.Run dispatches the whole epoch.
-func (w *World) runMembersSched(id uint64, members []int, fn func(c *Comm) error, errs []error) error {
+func (w *World) runMembersSched(g *group, fn func(c *Comm) error, errs []error) error {
 	des := &desWorld{sim: sched.New(), tasks: make([]*sched.Task, w.size)}
 	w.des = des
 	defer func() { w.des = nil }()
 
-	for i, g := range members {
-		des.tasks[g] = des.sim.Spawn(g, w.clocks[g].Now(), func(*sched.Task) {
-			errs[i] = w.runRank(id, members, i, fn)
+	for i, me := range g.members {
+		des.tasks[me] = des.sim.Spawn(me, w.clocks[me].Now(), func(*sched.Task) {
+			errs[i] = w.runRank(g, i, fn)
 		})
 	}
 	if err := des.sim.Run(); err != nil {

@@ -22,22 +22,26 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 // split is priced as the all-gather of every rank's (color, key) that
 // a real MPI_Comm_split performs — a gather to rank 0, then a binomial
 // broadcast of the 2P-entry table — but only rank 0 ever holds the
-// table. It computes the partition once, publishes it in the world's
-// split table, and the broadcast hops carry no payload, only the
-// table's charge; each member reads its own entry once the broadcast
-// reaches it. Messages, tags, seq advances, clocks and trace counters
-// are those of the all-gather, and the host work is O(P) instead of
-// every rank scanning the whole table.
+// table. It computes the partition once, with one group per color, and
+// leaves it on the parent's group; the broadcast hops carry no
+// payload, only the table's charge, and each member reads its own
+// entry once the broadcast reaches it. Messages, tags, seq advances,
+// clocks and trace counters are those of the all-gather, and the host
+// work is O(P) instead of every rank scanning the whole table.
+//
+// The broadcast orders rank 0's write of the partition before every
+// member's read, and the next Split cannot overwrite it early: rank 0
+// publishes only after every member has sent its entry, which each
+// member does after reading the current partition.
 func (c *Comm) split(color, key int) (*Comm, error) {
 	if c.size == 1 {
 		if err := c.checkSelfCrash(); err != nil {
 			return nil, err
 		}
-		return &Comm{w: c.w, id: c.splitID(0), size: 1, members: c.members}, nil
+		return &Comm{w: c.w, g: &group{members: c.g.members, key: c.subKey(c.seq, 0)}, size: 1}, nil
 	}
 	st := &opState{}
 	tag := c.nextTag()
-	sk := splitKey{id: c.id, tag: tag, root: c.members[0]}
 	if c.rank == 0 {
 		pairs := make([]int64, 2*c.size)
 		pairs[0], pairs[1] = int64(color), int64(key)
@@ -54,9 +58,7 @@ func (c *Comm) split(color, key int) (*Comm, error) {
 			}
 		}
 		if st.fail == nil {
-			if err := c.w.putSplit(sk, newSplitTable(pairs, c.members)); err != nil {
-				return nil, err
-			}
+			c.g.split = c.newSplitTable(pairs, tag.seq)
 		}
 	} else if err := c.opSend(st, 0, tag, nil, []int64{int64(color), int64(key)}); err != nil {
 		return nil, err
@@ -67,116 +69,68 @@ func (c *Comm) split(color, key int) (*Comm, error) {
 	if st.fail != nil {
 		return nil, st.fail
 	}
-	members, rank, colorIdx, err := c.w.takeSplit(sk, c.rank)
-	if err != nil {
-		return nil, err
+	t := c.g.split
+	if t == nil || t.seq != tag.seq {
+		return nil, fmt.Errorf("mpi: rank %d found no partition for the split at step %d", c.rank, tag.seq)
 	}
-	return &Comm{w: c.w, id: c.splitID(colorIdx), rank: rank, size: len(members), members: members}, nil
+	g := t.groups[t.color[c.rank]]
+	return &Comm{w: c.w, g: g, rank: t.rank[c.rank], size: len(g.members)}, nil
 }
 
-// splitID derives a sub-communicator's identity from the parent's
-// (id, seq) after the split's all-gather and the index of the color
-// among the split's sorted distinct colors, so every member computes
-// it without further communication. Sibling communicators of one
-// split get distinct ids while there are fewer than 65,536 colors.
-// Across splits the formula is not collision-free: depth-1 ids
-// outgrow nextTag's 43-bit id field after ~135 Run calls on one world
-// and depth-2 ids wrap uint64, so two communicators can share a tag
-// namespace. The id must keep this formula until ids are interned,
-// because the tag it feeds is hashed by fault.MsgFault.
-func (c *Comm) splitID(colorIdx int) uint64 {
-	return (c.id*1_000_003+c.seq)*65536 + uint64(colorIdx) + 1
+// subKey is the fault key of the sub-communicator with color index
+// colorIdx among the sorted distinct colors of a split that leaves the
+// parent at step seq. Distinct siblings get distinct keys while there
+// are fewer than 65,536 colors; beyond that keys only correlate fault
+// rolls, since nothing matches on them.
+func (c *Comm) subKey(seq uint64, colorIdx int) uint64 {
+	return (c.g.key*1_000_003+seq)*65536 + uint64(colorIdx) + 1
 }
 
-// splitKey identifies one Split in the world's split table: the
-// parent communicator, the tag of the split's gather, and the parent's
-// rank 0, which disambiguates disjoint communicators whose ids alias.
-type splitKey struct {
-	id, tag uint64
-	root    int
-}
-
-// splitTable is one Split's partition, indexed by parent rank. Every
-// field but readers is read-only once published, and the member slices
-// are shared by the sub-communicators built from them.
+// splitTable is one Split's partition, indexed by parent rank. It is
+// read-only once published, and its groups are the sub-communicators'.
 type splitTable struct {
-	groups  [][]int // per color index: member global ranks in (key, parent rank) order
-	color   []int   // parent rank -> color index among the sorted distinct colors
-	rank    []int   // parent rank -> rank within its group
-	readers int     // parent ranks yet to read the table, counted down under World.splitMu
+	seq    uint64   // step of the split's gather on the parent
+	groups []*group // per color index, members in (key, parent rank) order
+	color  []int    // parent rank -> color index among the sorted distinct colors
+	rank   []int    // parent rank -> rank within its group
 }
 
-// newSplitTable partitions a parent communicator of global ranks
-// members from the gathered (color, key) pairs with one sort by
-// (color, key, parent rank).
-func newSplitTable(pairs []int64, members []int) *splitTable {
+// newSplitTable partitions the communicator from the gathered (color,
+// key) pairs with one sort by (color, key, parent rank), for the split
+// gathered at step seq. The split's broadcast is the parent's step
+// seq+1, at which the split leaves the parent and the groups' keys are
+// taken.
+func (c *Comm) newSplitTable(pairs []int64, seq uint64) *splitTable {
+	members := c.g.members
 	n := len(members)
 	order := make([]int, n)
 	for r := range order {
 		order[r] = r
 	}
 	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(pairs[2*a], pairs[2*b]); c != 0 {
-			return c
+		if o := cmp.Compare(pairs[2*a], pairs[2*b]); o != 0 {
+			return o
 		}
-		if c := cmp.Compare(pairs[2*a+1], pairs[2*b+1]); c != 0 {
-			return c
+		if o := cmp.Compare(pairs[2*a+1], pairs[2*b+1]); o != 0 {
+			return o
 		}
 		return cmp.Compare(a, b)
 	})
-	t := &splitTable{color: make([]int, n), rank: make([]int, n), readers: n}
+	t := &splitTable{seq: seq, color: make([]int, n), rank: make([]int, n)}
 	global := make([]int, n)
 	lo := 0
+	cut := func(hi int) {
+		t.groups = append(t.groups, &group{members: global[lo:hi:hi], key: c.subKey(seq+1, len(t.groups))})
+		lo = hi
+	}
 	for i, r := range order {
 		if i > 0 && pairs[2*r] != pairs[2*order[i-1]] {
-			t.groups = append(t.groups, global[lo:i:i])
-			lo = i
+			cut(i)
 		}
 		global[i] = members[r]
 		t.color[r] = len(t.groups)
 		t.rank[r] = i - lo
 	}
-	t.groups = append(t.groups, global[lo:n:n])
+	cut(n)
 	return t
-}
-
-// putSplit publishes a partition under its key. An occupied key means
-// two live splits alias, which would hand one split's members the
-// other's partition, so it is an error rather than an overwrite.
-func (w *World) putSplit(k splitKey, t *splitTable) error {
-	w.splitMu.Lock()
-	defer w.splitMu.Unlock()
-	if _, ok := w.splits[k]; ok {
-		return fmt.Errorf("mpi: split table key %+v is already live", k)
-	}
-	if w.splits == nil {
-		w.splits = make(map[splitKey]*splitTable)
-	}
-	w.splits[k] = t
-	return nil
-}
-
-// takeSplit reads parent rank's entry of a published partition; the
-// last reader removes the partition from the table.
-func (w *World) takeSplit(k splitKey, rank int) (members []int, newRank, colorIdx int, err error) {
-	w.splitMu.Lock()
-	defer w.splitMu.Unlock()
-	t := w.splits[k]
-	if t == nil {
-		return nil, 0, 0, fmt.Errorf("mpi: rank %d found no split table under %+v", rank, k)
-	}
-	if t.readers--; t.readers == 0 {
-		delete(w.splits, k)
-	}
-	colorIdx = t.color[rank]
-	return t.groups[colorIdx], t.rank[rank], colorIdx, nil
-}
-
-// dropSplits forgets partitions an epoch left unread: a failure that
-// poisons part of a split's broadcast leaves those ranks' reads
-// undone.
-func (w *World) dropSplits() {
-	w.splitMu.Lock()
-	defer w.splitMu.Unlock()
-	w.splits = nil
 }

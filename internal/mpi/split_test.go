@@ -65,7 +65,7 @@ func randomSplitTable(rng *rand.Rand, size, shape int) (colors, keys []int) {
 
 // TestSplitMatchesReference: for random (color, key) tables of sizes
 // 1–300 under both drivers, every rank's sub-communicator has the
-// reference members, rank, size and the id formula's value.
+// reference members, rank, size and the fault key formula's value.
 func TestSplitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	sizes := []int{1, 2, 3, 5, 8, 17, 64, 100, 255, 300}
@@ -83,29 +83,26 @@ func TestSplitMatchesReference(t *testing.T) {
 							return err
 						}
 						members, colorIdx := splitRef(colors, keys, colors[r])
-						if fmt.Sprint(sub.members) != fmt.Sprint(members) {
-							return fmt.Errorf("rank %d: members %v, want %v", r, sub.members, members)
+						if fmt.Sprint(sub.g.members) != fmt.Sprint(members) {
+							return fmt.Errorf("rank %d: members %v, want %v", r, sub.g.members, members)
 						}
 						if sub.Size() != len(members) || members[sub.Rank()] != r || sub.Global() != r {
 							return fmt.Errorf("rank %d: sub rank %d of %d", r, sub.Rank(), sub.Size())
 						}
-						// The world communicator has id 0; the split's
+						// The world communicator has key 0; the split's
 						// all-gather advances seq by two unless it is
 						// a one-rank no-op.
 						seq := uint64(2)
 						if size == 1 {
 							seq = 0
 						}
-						if want := seq*65536 + uint64(colorIdx) + 1; sub.id != want {
-							return fmt.Errorf("rank %d: id %d, want %d", r, sub.id, want)
+						if want := seq*65536 + uint64(colorIdx) + 1; sub.g.key != want {
+							return fmt.Errorf("rank %d: key %d, want %d", r, sub.g.key, want)
 						}
 						return nil
 					})
 					if err != nil {
 						t.Fatal(err)
-					}
-					if n := w.pendingSplits(); n != 0 {
-						t.Fatalf("%d split table entries left after the epoch", n)
 					}
 				})
 			}
@@ -115,7 +112,8 @@ func TestSplitMatchesReference(t *testing.T) {
 
 // splitPin is the outcome of one Split scenario pinned from the
 // all-gather implementation: an FNV-64a digest over every rank's clock
-// bits and sub-communicator (id, rank, size), and the trace counters.
+// bits and sub-communicator (fault key, rank, size), and the trace
+// counters.
 type splitPin struct {
 	digest       uint64
 	netMsgs      int64
@@ -145,7 +143,7 @@ func runSplitPin(t *testing.T, d Driver, size int, plan *fault.Plan) splitPin {
 		if err != nil {
 			return err
 		}
-		subs[r] = [3]uint64{sub.id, uint64(sub.Rank()), uint64(sub.Size())}
+		subs[r] = [3]uint64{sub.g.key, uint64(sub.Rank()), uint64(sub.Size())}
 		return nil
 	})
 	if err != nil {
@@ -159,7 +157,7 @@ func runSplitPin(t *testing.T, d Driver, size int, plan *fault.Plan) splitPin {
 	return splitPin{h.Sum64(), s.NetMessages, s.NetBytes, s.NetRetries, math.Float64bits(s.RetrySeconds)}
 }
 
-// TestSplitChargesPinned: Split's virtual clocks, communicator ids and
+// TestSplitChargesPinned: Split's virtual clocks, communicator keys and
 // trace counters equal the values recorded from the all-gather
 // implementation (every rank receiving the full 2P-entry table), with
 // and without transient message faults. Sharing the partition instead
@@ -197,8 +195,8 @@ func TestSplitChargesPinned(t *testing.T) {
 }
 
 // TestSplitCrashMidSplit: a rank that crashes inside a Split gives
-// every survivor the same *RankFailure, and the epoch leaves no split
-// table entry behind. An early crash (the rank's first split message)
+// every survivor the same *RankFailure, and a RunLive epoch splits
+// cleanly afterwards. An early crash (the rank's first split message)
 // poisons the all-gather before rank 0 builds the partition; a late
 // one kills a broadcast forwarder after it has, so part of the
 // communicator never reads its entry and a parent Barrier spreads the
@@ -232,9 +230,6 @@ func TestSplitCrashMidSplit(t *testing.T) {
 					}
 					return err
 				})
-				if n := w.pendingSplits(); n != 0 {
-					t.Fatalf("%d split table entries survived the aborted epoch", n)
-				}
 				var ref *RankFailure
 				for r, f := range fails {
 					if r == tc.crashCG {
@@ -262,11 +257,4 @@ func TestSplitCrashMidSplit(t *testing.T) {
 			})
 		}
 	}
-}
-
-// pendingSplits counts the partitions in the world's split table.
-func (w *World) pendingSplits() int {
-	w.splitMu.Lock()
-	defer w.splitMu.Unlock()
-	return len(w.splits)
 }
